@@ -2,23 +2,17 @@
 
 All vectors are tuples of ints (lattice vectors) or Fractions (rational
 points).  Matrices are tuples of row tuples.  Nothing here ever touches
-floating point; every result is exact.
+floating point; every result is exact.  Rank, determinants, rational
+solving and span membership share one fraction-free (Bareiss) elimination;
+lattice coordinates come from exact division along HNF pivots.
 """
 
 from fractions import Fraction
 from math import gcd
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
 
 
 def vec_neg(a):
@@ -36,13 +30,6 @@ def is_zero(a):
     return all(x == 0 for x in a)
 
 
-def vec_gcd(a):
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x) if isinstance(x, int) else 0)
-    return g
-
-
 def primitive_vector(v):
     """Scale an integer vector down to its primitive representative.
 
@@ -56,18 +43,30 @@ def primitive_vector(v):
     return tuple(x // g for x in v)
 
 
+def _unit_rows(count, width=None, offset=0):
+    """Unit rows e_offset, ..., e_(offset+count-1) of Z^width (width
+    defaults to count, giving the identity matrix)."""
+    width = count if width is None else width
+    return tuple(
+        tuple(1 if j == offset + i else 0 for j in range(width)) for i in range(count)
+    )
+
+
+def _pivot_col(row):
+    """Column of the first nonzero entry of a nonzero row."""
+    return next(j for j, x in enumerate(row) if x)
+
+
 def clear_denominators(v):
     """Return (w, d) with w an integer vector, d > 0 and w == d*v."""
+    if all(type(x) is int for x in v):
+        return tuple(v), 1
     d = 1
     for x in v:
         if isinstance(x, Fraction):
             den = x.denominator
             d = d * den // gcd(d, den)
     return tuple(int(x * d) for x in v), d
-
-
-def as_fractions(v):
-    return tuple(Fraction(x) for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -136,76 +135,69 @@ def hnf_basis(rows):
     return tuple(r for r in h if not is_zero(r))
 
 
-def rank_int(rows):
-    """Rank over Q of a matrix with integer or Fraction entries.
+def _echelon(mat, ncols):
+    """Fraction-free (Bareiss) row echelon form of an integer matrix.
 
-    Fraction-free forward elimination; eliminated rows are divided by
-    their gcd to keep entries small.
+    `mat` is a list of integer row lists, reduced in place; pivots are
+    sought in its first `ncols` columns, later columns (a right-hand side)
+    are carried along.  Returns (pivot columns, sign of the row
+    permutation).  Row r < rank has its pivot in column pivots[r]; rows
+    from rank on are zero in the first `ncols` columns.  Pivot rows hold
+    minors of the input, and a square matrix of full rank ends in its
+    determinant times the sign.
+
+    A row with a zero in the pivot column is left as it is instead of
+    being scaled by pivot / previous pivot; `scale[i]` records the pivot
+    row i was last brought up to date with, so that every division stays
+    exact when the row is next used.
     """
-    mat = []
-    for r in rows:
-        if all(type(x) is int for x in r):
-            row = list(r)
-        else:
-            row = list(clear_denominators(r)[0])
-        if any(row):
-            mat.append(row)
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
+    m = len(mat)
+    scale = [1] * m
+    pivots = []
+    sign = 1
+    prev = 1
     for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        pv = prow[col]
-        for i in range(rank + 1, len(mat)):
-            v = mat[i][col]
-            if v:
-                new = [pv * a - v * b for a, b in zip(mat[i], prow)]
-                g = 0
-                for x in new:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                mat[i] = [x // g for x in new] if g > 1 else new
-        rank += 1
-        if rank == len(mat):
+        rank = len(pivots)
+        if rank == m:
             break
-    return rank
+        for piv in range(rank, m):
+            if mat[piv][col]:
+                break
+        else:
+            continue
+        if piv != rank:
+            mat[rank], mat[piv] = mat[piv], mat[rank]
+            scale[rank], scale[piv] = scale[piv], scale[rank]
+            sign = -sign
+        if scale[rank] != prev:
+            mat[rank] = [a * prev // scale[rank] for a in mat[rank]]
+        prow = mat[rank]
+        p = prow[col]
+        for i in range(rank + 1, m):
+            row = mat[i]
+            c = row[col]
+            if c:
+                mat[i] = [(p * a - c * b) // scale[i] for a, b in zip(row, prow)]
+                scale[i] = p
+        prev = p
+        pivots.append(col)
+    return pivots, sign
+
+
+def rank_int(rows):
+    """Rank over Q of a matrix with integer or Fraction entries."""
+    mat = [list(clear_denominators(r)[0]) for r in rows]
+    return len(_echelon(mat, len(mat[0]) if mat else 0)[0])
 
 
 def det_int(rows):
-    """Determinant of a square integer matrix (Bareiss, fraction free)."""
+    """Determinant of a square integer matrix."""
     n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    swap = i
-                    break
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    mat = [list(r) for r in rows]
+    pivots, sign = _echelon(mat, n)
+    if len(pivots) < n:
+        return 0
+    return sign * mat[-1][-1] if n else 1
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +214,7 @@ def integer_kernel(rows, dim=None):
     if not rows:
         if dim is None:
             raise ValueError("dim required for empty matrix")
-        return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
+        return _unit_rows(dim)
     # transpose: left kernel of M^T equals right kernel of M
     cols = len(rows[0])
     mt = tuple(tuple(rows[i][j] for i in range(len(rows))) for j in range(cols))
@@ -238,8 +230,19 @@ def saturate(rows, dim):
         return ()
     ker = integer_kernel(rows, dim)
     if not ker:
-        return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
+        return _unit_rows(dim)
     return integer_kernel(ker, dim)
+
+
+def _reduce_system(rows, rhs):
+    """Echelon form of [M | rhs] and its pivot columns, or None when
+    M x = rhs has no rational solution."""
+    n = len(rows[0]) if rows else 0
+    mat = [list(clear_denominators(tuple(r) + (b,))[0]) for r, b in zip(rows, rhs)]
+    pivots, _ = _echelon(mat, n)
+    if any(row[n] for row in mat[len(pivots):]):
+        return None
+    return mat, pivots
 
 
 def solve_rational(rows, rhs):
@@ -247,45 +250,31 @@ def solve_rational(rows, rhs):
 
     Returns (x, kernel_basis) with x a tuple of Fractions and kernel_basis
     a tuple of rational vectors spanning the solution space of M x = 0, or
-    None when the system is inconsistent.
+    None when the system is inconsistent.  x is zero on the free columns;
+    kernel vector i is one on the i-th free column and zero on the others.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    mat = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(m)]
-    piv_cols = []
-    rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, m):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(m):
-            if i != rank and mat[i][col] != 0:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[rank])]
-        piv_cols.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if mat[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(piv_cols):
-        x[col] = mat[r][n]
-    free = [c for c in range(n) if c not in piv_cols]
+    reduced = _reduce_system(rows, rhs)
+    if reduced is None:
+        return None
+    mat, pivots = reduced
+    n = len(rows[0]) if rows else 0
+
+    def back_substitute(v, t):
+        # pivot unknowns of v from U v = t * rhs, free unknowns already set
+        for r in range(len(pivots) - 1, -1, -1):
+            row, col = mat[r], pivots[r]
+            s = t * row[n] - sum(row[j] * v[j] for j in range(col + 1, n))
+            v[col] = Fraction(s, row[col])
+        return tuple(v)
+
+    x = back_substitute([Fraction(0)] * n, 1)
     kernel = []
-    for fcol in free:
-        v = [Fraction(0)] * n
-        v[fcol] = Fraction(1)
-        for r, col in enumerate(piv_cols):
-            v[col] = -mat[r][fcol]
-        kernel.append(tuple(v))
-    return tuple(x), tuple(kernel)
+    for f in range(n):
+        if f not in pivots:
+            v = [Fraction(0)] * n
+            v[f] = Fraction(1)
+            kernel.append(back_substitute(v, 0))
+    return x, tuple(kernel)
 
 
 def solve_integer(rows, rhs):
@@ -326,12 +315,25 @@ def solve_integer(rows, rhs):
 
 def member_of_span(rows, v):
     """True iff v lies in the rational span of `rows`."""
-    rows = [r for r in rows if not is_zero(r)]
     if not rows:
         return is_zero(v)
-    cols = len(v)
-    mat = tuple(tuple(rows[i][j] for i in range(len(rows))) for j in range(cols))
-    return solve_rational(mat, v) is not None
+    return _reduce_system(tuple(zip(*rows)), v) is not None
+
+
+def _lattice_coords(basis, v):
+    """Integer coordinates of v in an echelon basis such as an HNF basis,
+    or None when v is not in the lattice the basis generates."""
+    w = list(v)
+    coords = []
+    for row in basis:
+        p = _pivot_col(row)
+        q, rem = divmod(w[p], row[p])
+        if rem:
+            return None
+        coords.append(q)
+        if q:
+            w = [a - q * b for a, b in zip(w, row)]
+    return None if any(w) else tuple(coords)
 
 
 def lattice_index(sub_basis, basis):
@@ -341,50 +343,16 @@ def lattice_index(sub_basis, basis):
     rational subspace, with the first generating a sublattice of the
     second; otherwise a ValueError is raised.
     """
-    sub_basis = tuple(tuple(r) for r in sub_basis)
-    basis = tuple(tuple(r) for r in basis)
-    if len(sub_basis) != len(basis):
-        raise ValueError("sublattice span mismatch")
     r = len(basis)
-    if r == 0:
-        return 1
-    if rank_int(basis) != r or rank_int(sub_basis) != r:
-        raise ValueError("lattice bases must be linearly independent")
-    cols = len(basis[0])
-    mat = tuple(tuple(basis[i][j] for i in range(r)) for j in range(cols))
-    coords = []
-    for b in sub_basis:
-        sol = solve_rational(mat, b)
-        if sol is None:
-            raise ValueError("sublattice span mismatch")
-        coords.append(sol[0])
-    det = _det_fraction(coords)
-    if det == 0:
+    if len(sub_basis) != r:
         raise ValueError("sublattice span mismatch")
-    if det.denominator != 1:
+    hbasis = hnf_basis(basis)
+    if len(hbasis) != r:
+        raise ValueError("lattice bases must be linearly independent")
+    coords = [_lattice_coords(hbasis, b) for b in sub_basis]
+    if None in coords:
         raise ValueError("first family is not a sublattice of the second")
-    return abs(int(det))
-
-
-def _det_fraction(rows):
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col] != 0:
-                c = mat[i][col] * inv
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[col])]
-    return det
+    det = det_int(coords)
+    if det == 0:
+        raise ValueError("lattice bases must be linearly independent")
+    return abs(det)

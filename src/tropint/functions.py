@@ -18,15 +18,15 @@ from .polyhedra import (
     Complex,
     TropicalGeometryError,
     VerificationError,
+    _refine,
+    _space_cell,
     add_cycles,
     check_cover,
-    common_refinement,
     cut_cell_by_hom_forms,
     empty_cycle,
     facet_data,
     intersect_cells,
     lattice_normal,
-    make_cell,
     make_cycle,
     refine_complexes,
     scale_cycle,
@@ -99,15 +99,7 @@ class PLFunction:
 
 def affine_function(ambient_dim, covector, offset=0):
     """The globally affine function x -> covector.x + offset."""
-    space = make_cell(
-        ambient_dim,
-        vertices=[(0,) * ambient_dim],
-        lineality=[
-            tuple(1 if i == j else 0 for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        ],
-    )
-    return PLFunction((space,), ((covector, offset),))
+    return PLFunction((_space_cell(ambient_dim),), ((covector, offset),))
 
 
 def ray_function(fan, values):
@@ -218,18 +210,7 @@ def pullback_function(matrix, translation, phi, source=None):
     if phi.ambient_dim != m:
         raise TropicalGeometryError("function carrier does not match the target")
     if source is None:
-        source = Complex(
-            n,
-            [
-                make_cell(
-                    n,
-                    vertices=[(0,) * n],
-                    lineality=[
-                        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-                    ],
-                )
-            ],
-        )
+        source = Complex(n, [_space_cell(n)])
     elif hasattr(source, "cells"):
         source = source.complex()
 
@@ -283,13 +264,10 @@ def divisor(phi, x, validate_cover=True):
         return empty_cycle(x.ambient_dim)
     if phi.ambient_dim != x.ambient_dim:
         raise TropicalGeometryError("function and cycle live in different spaces")
-    refined = common_refinement(x, phi.carrier)
+    refined, origin = _refine(x, phi.carrier)
     cells = [c for c, _ in refined.cells]
     weights = [w for _, w in refined.cells]
-    covs = []
-    for cell in cells:
-        cov, _ = phi.form_at(cell.relint_point())
-        covs.append(cov)
+    covs = [phi.form_on(origin[cell])[0] for cell in cells]
     n = x.ambient_dim
     items = []
     for tau, around in facet_data(cells).items():

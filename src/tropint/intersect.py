@@ -8,6 +8,7 @@ product contexts pull the factor representations back along the
 coordinate projections.
 """
 
+from .exactmath import _unit_rows
 from .functions import CartierExpression, pullback_function
 from .linspace import build_lnk, rewrite_diagonal, star_diagonal
 from .polyhedra import (
@@ -57,23 +58,16 @@ class Morphism:
 
 
 def identity_morphism(n):
-    return Morphism([tuple(1 if j == i else 0 for j in range(n)) for i in range(n)])
+    return Morphism(_unit_rows(n))
 
 
 def projection_morphism(dims, index):
     """Projection of R^{d_0} x ... x R^{d_r} onto its index-th factor."""
-    offset = sum(dims[:index])
-    total = sum(dims)
-    return Morphism(
-        [
-            tuple(1 if j == offset + i else 0 for j in range(total))
-            for i in range(dims[index])
-        ]
-    )
+    return Morphism(_unit_rows(dims[index], sum(dims), sum(dims[:index])))
 
 
 def diagonal_morphism(n):
-    rows = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    rows = _unit_rows(n)
     return Morphism(rows + rows)
 
 
@@ -99,11 +93,8 @@ def pushforward(f, x, validate=False, source=None, target=None):
 def graph(f, x):
     """The graph of f over the cycle x, inside R^{source} x R^{target}."""
     n = f.source_dim
-    rows = [
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-    ] + list(f.matrix)
     translation = (0,) * n + f.translation
-    return pushforward_cycle(rows, x, translation=translation)
+    return pushforward_cycle(_unit_rows(n) + f.matrix, x, translation=translation)
 
 
 def _pull_expression(expr, matrix):
@@ -205,16 +196,9 @@ def product_context(cx, cy, verify=True):
     ax = cx.ambient.ambient_dim
     ay = cy.ambient.ambient_dim
     total = 2 * (ax + ay)
-
-    def proj(offset, count):
-        return tuple(
-            tuple(1 if j == offset + i else 0 for j in range(total))
-            for i in range(count)
-        )
-
     # (u, v, u', v') -> (u, u') and -> (v, v')
-    px = proj(0, ax) + proj(ax + ay, ax)
-    py = proj(ax, ay) + proj(2 * ax + ay, ay)
+    px = _unit_rows(ax, total) + _unit_rows(ax, total, ax + ay)
+    py = _unit_rows(ay, total, ax) + _unit_rows(ay, total, 2 * ax + ay)
     stages = [ _pull_expression(stage, px) for stage in cx.stages ]
     stages += [ _pull_expression(stage, py) for stage in cy.stages ]
     out = AmbientContext(
@@ -243,10 +227,7 @@ def intersect_cycles(d1, d2, ctx, validate_support=True):
     if expected < 0:
         return empty_cycle(n)
     z = ctx.apply_diagonal(cross(d1, d2))
-    rows = tuple(
-        tuple(1 if j == i else 0 for j in range(2 * n)) for i in range(n)
-    )
-    out = pushforward_cycle(rows, z, target_dim=n)
+    out = pushforward_cycle(_unit_rows(n, 2 * n), z, target_dim=n)
     if not out.is_empty and out.dim != expected:
         raise VerificationError("intersection product has unexpected dimension")
     return out
@@ -274,8 +255,5 @@ def pullback_cycle(f, c, ctx_source, ctx_target, validate=True):
     if g.is_empty or c.is_empty:
         return empty_cycle(x.ambient_dim)
     z = intersect_cycles(g, cross(x, c), prod, validate_support=False)
-    rows = tuple(
-        tuple(1 if j == i else 0 for j in range(x.ambient_dim + y.ambient_dim))
-        for i in range(x.ambient_dim)
-    )
+    rows = _unit_rows(x.ambient_dim, x.ambient_dim + y.ambient_dim)
     return pushforward_cycle(rows, z, target_dim=x.ambient_dim)

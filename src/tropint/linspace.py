@@ -23,6 +23,7 @@ from .polyhedra import (
     Complex,
     TropicalGeometryError,
     VerificationError,
+    _space_cell,
     common_refinement,
     cone_from_generators,
     cross,
@@ -30,7 +31,6 @@ from .polyhedra import (
     diagonal_cycle,
     is_face,
     localize_complex,
-    make_cell,
     make_cycle,
 )
 
@@ -117,22 +117,7 @@ def combination_name(combo):
 
 def rn_cycle(n):
     """[R^n] with weight one."""
-    return make_cycle(
-        n,
-        n,
-        [
-            (
-                make_cell(
-                    n,
-                    vertices=[(0,) * n],
-                    lineality=[
-                        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-                    ],
-                ),
-                1,
-            )
-        ],
-    )
+    return make_cycle(n, n, [(_space_cell(n), 1)])
 
 
 def build_lnk(n, k):

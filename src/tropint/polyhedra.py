@@ -4,7 +4,20 @@ Cells are kept in a canonical V-representation (vertices, primitive rays,
 HNF lineality basis, everything reduced modulo lineality) so that equality
 of cells is structural equality of the underlying sets.  The H-representation
 (facet inequalities and span equations of the homogenization) is derived
-once per cell by an exact double description pass and cached.
+once per cell by an exact double description pass and cached.  Intersections
+and cuts by hyperplanes and halfspaces share one cut of the homogeneous
+generators (equations first, then inequalities).
+
+Containment of points, directions and cells is one test of homogeneous
+integer vectors against the H-representation; a contained cell is tested
+through its cached homogeneous generators.  Refining a cycle along a
+carrier complex reports, for each piece, the carrier cell it came from
+(the containing cell, or the cell it was intersected with), so divisors
+read covectors without locating points.  A refinement signs each cell
+against the carrier's distinct hyperplanes once and intersects it only
+with the carrier cells whose facet and equation sides it can meet in full
+dimension, so cells that meet in a lower-dimensional face never reach the
+intersection memo.
 
 Conventions:
   * a cell with no vertices is the empty cell;
@@ -15,6 +28,9 @@ Conventions:
 from fractions import Fraction
 
 from .exactmath import (
+    _lattice_coords,
+    _pivot_col,
+    _unit_rows,
     clear_denominators,
     integer_kernel,
     is_zero,
@@ -24,7 +40,6 @@ from .exactmath import (
     rank_int,
     saturate,
     solve_integer,
-    solve_rational,
     vec_dot,
     vec_neg,
 )
@@ -42,126 +57,63 @@ class VerificationError(RuntimeError):
 # double description primitives (generator form)
 
 
-def _combine(p, m, a):
-    # nonnegative combination of p (a.p > 0) and m (a.m < 0) lying on a = 0
-    w = tuple(vec_dot(a, p) * x - vec_dot(a, m) * y for x, y in zip(m, p))
+def _onto(a, v, pivot):
+    """(a.pivot) v - (a.v) pivot made primitive, or None when it is zero.
+
+    The result lies on a = 0; for a.pivot > 0 it is a positive multiple of
+    v plus a multiple of pivot.
+    """
+    pa, d = vec_dot(a, pivot), vec_dot(a, v)
+    w = tuple(pa * x - d * y for x, y in zip(v, pivot))
     return None if is_zero(w) else primitive_vector(w)
 
 
-def _cut_halfspace(rays, lin, a):
-    """Generators of (cone(rays)+lin) intersected with {x : a.x >= 0}."""
-    pivot = None
-    for l in lin:
-        if vec_dot(a, l) != 0:
-            pivot = l
-            break
-    if pivot is not None:
-        if vec_dot(a, pivot) < 0:
-            pivot = vec_neg(pivot)
-        pa = vec_dot(a, pivot)
-        newlin = []
-        for l in lin:
-            if l is pivot:
+def _cut(rays, lin, eqs, ineqs):
+    """Generators of cone(rays) + span(lin) cut by {e.x == 0 for e in eqs}
+    and then by {f.x >= 0 for f in ineqs}, one form at a time."""
+    for k, a in enumerate(tuple(eqs) + tuple(ineqs)):
+        equality = k < len(eqs)
+        pivot = next((l for l in lin if vec_dot(a, l) != 0), None)
+        if pivot is not None:
+            # slide every generator onto a = 0 along a lineality direction
+            # crossing it; for a halfspace that direction becomes a ray
+            if vec_dot(a, pivot) < 0:
+                pivot = vec_neg(pivot)
+            new = {_onto(a, r, pivot) for r in rays}
+            lin = tuple(w for w in (_onto(a, l, pivot) for l in lin) if w is not None)
+            if not equality:
+                new.add(pivot)
+        else:
+            pos, zero, neg = [], [], []
+            for r in rays:
+                d = vec_dot(a, r)
+                (pos if d > 0 else zero if d == 0 else neg).append(r)
+            if not equality and not neg:
                 continue
-            d = vec_dot(a, l)
-            w = tuple(pa * x - d * y for x, y in zip(l, pivot))
-            if not is_zero(w):
-                newlin.append(primitive_vector(w))
-        newrays = set()
-        for r in rays:
-            d = vec_dot(a, r)
-            w = tuple(pa * x - d * y for x, y in zip(r, pivot))
-            if not is_zero(w):
-                newrays.add(primitive_vector(w))
-        newrays.add(pivot)
-        return tuple(newrays), tuple(newlin)
-    pos, zero, neg = [], [], []
-    for r in rays:
-        d = vec_dot(a, r)
-        (pos if d > 0 else zero if d == 0 else neg).append(r)
-    if not neg:
-        return tuple(rays), tuple(lin)
-    new = set(pos) | set(zero)
-    for p in pos:
-        for m in neg:
-            w = _combine(p, m, a)
-            if w is not None:
-                new.add(w)
-    return tuple(new), tuple(lin)
-
-
-def _cut_hyperplane(rays, lin, a):
-    """Generators of (cone(rays)+lin) intersected with {x : a.x == 0}."""
-    pivot = None
-    for l in lin:
-        if vec_dot(a, l) != 0:
-            pivot = l
-            break
-    if pivot is not None:
-        pa = vec_dot(a, pivot)
-        newlin = []
-        for l in lin:
-            if l is pivot:
-                continue
-            d = vec_dot(a, l)
-            w = tuple(pa * x - d * y for x, y in zip(l, pivot))
-            if not is_zero(w):
-                newlin.append(primitive_vector(w))
-        newrays = set()
-        for r in rays:
-            d = vec_dot(a, r)
-            w = tuple(pa * x - d * y for x, y in zip(r, pivot))
-            if not is_zero(w):
-                newrays.add(primitive_vector(w))
-        return tuple(newrays), tuple(newlin)
-    pos, zero, neg = [], [], []
-    for r in rays:
-        d = vec_dot(a, r)
-        (pos if d > 0 else zero if d == 0 else neg).append(r)
-    new = set(zero)
-    for p in pos:
-        for m in neg:
-            w = _combine(p, m, a)
-            if w is not None:
-                new.add(w)
-    return tuple(new), tuple(lin)
+            new = set(zero) if equality else set(pos) | set(zero)
+            new.update(_onto(a, m, p) for p in pos for m in neg)
+        new.discard(None)
+        rays = tuple(new)
+    return rays, lin
 
 
 def _dual_generators(hgens, hlin, dim):
     """Generators of {a : a.g >= 0 for g in hgens, a.l == 0 for l in hlin}."""
-    rays = ()
-    lin = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-    for l in hlin:
-        rays, lin = _cut_hyperplane(rays, lin, l)
-    for g in hgens:
-        rays, lin = _cut_halfspace(rays, lin, g)
-    return rays, lin
-
-
-def _pivot_col(row):
-    for j, x in enumerate(row):
-        if x != 0:
-            return j
-    return None
+    return _cut((), _unit_rows(dim), hlin, hgens)
 
 
 def _reduce_mod(v, basis):
     """Canonical representative of v modulo span(basis rows), primitivized.
 
-    basis rows must be an echelon (HNF) integer basis.  Returns None when
-    v lies in the span.
+    v is an integer vector and the basis rows an echelon (HNF) integer
+    basis with positive pivots.  Returns None when v lies in the span.
     """
-    if not basis:
-        w, _ = clear_denominators(v)
-        return None if is_zero(w) else primitive_vector(w)
-    w = [Fraction(x) for x in v]
     for row in basis:
         p = _pivot_col(row)
-        if w[p] != 0:
-            c = w[p] / row[p]
-            w = [a - c * b for a, b in zip(w, row)]
-    wi, _ = clear_denominators(w)
-    return None if is_zero(wi) else primitive_vector(wi)
+        c = v[p]
+        if c:
+            v = tuple(row[p] * a - c * b for a, b in zip(v, row))
+    return None if is_zero(v) else primitive_vector(v)
 
 
 # ---------------------------------------------------------------------------
@@ -261,42 +213,25 @@ class Cell:
             self._hom_lin = tuple(tuple(l) + (0,) for l in self.lineality)
         return self._hom_lin
 
+    def _holds(self, w):
+        # w is a homogeneous integer vector: (point, 1) scaled, or (direction, 0)
+        return all(vec_dot(e, w) == 0 for e in self.hom_eqs) and all(
+            vec_dot(f, w) >= 0 for f in self.hom_facets
+        )
+
     def contains_point(self, p):
-        if self.is_empty:
-            return False
-        w, _ = clear_denominators(tuple(p) + (1,))
-        for e in self.hom_eqs:
-            if vec_dot(e, w) != 0:
-                return False
-        for f in self.hom_facets:
-            if vec_dot(f, w) < 0:
-                return False
-        return True
+        return not self.is_empty and self._holds(clear_denominators(tuple(p) + (1,))[0])
 
     def contains_direction(self, r):
-        if self.is_empty:
-            return False
-        w = tuple(r) + (0,)
-        for e in self.hom_eqs:
-            if vec_dot(e, w) != 0:
-                return False
-        for f in self.hom_facets:
-            if vec_dot(f, w) < 0:
-                return False
-        return True
+        return not self.is_empty and self._holds(tuple(r) + (0,))
 
     def contains_cell(self, other):
         if other.is_empty:
             return True
         if self.is_empty:
             return False
-        return (
-            all(self.contains_point(v) for v in other.vertices)
-            and all(self.contains_direction(r) for r in other.rays)
-            and all(
-                self.contains_direction(l) and self.contains_direction(vec_neg(l))
-                for l in other.lineality
-            )
+        return all(self._holds(g) for g in other.hom_gens()) and all(
+            self._holds(l) and self._holds(vec_neg(l)) for l in other.hom_lin()
         )
 
     def relint_point(self):
@@ -465,6 +400,11 @@ def make_cell(ambient_dim, vertices=(), rays=(), lineality=()):
     return _build_from_hom(ambient_dim, tuple(hgens), tuple(hlin))
 
 
+def _space_cell(n):
+    """The whole of R^n as a cell: the origin plus full lineality."""
+    return make_cell(n, vertices=[(0,) * n], lineality=_unit_rows(n))
+
+
 def cone_from_generators(ambient_dim, rays, lineality=()):
     """Canonical cone spanned by the given ray and lineality generators.
 
@@ -485,30 +425,15 @@ def intersect_cells(a, b):
     got = _INTERSECT_MEMO.get(memo_key)
     if got is not None:
         return got
-    rays, lin = a.hom_gens(), a.hom_lin()
-    for e in b.hom_eqs:
-        rays, lin = _cut_hyperplane(rays, lin, e)
-    for f in b.hom_facets:
-        rays, lin = _cut_halfspace(rays, lin, f)
+    rays, lin = _cut(a.hom_gens(), a.hom_lin(), b.hom_eqs, b.hom_facets)
     out = _build_from_hom(a.ambient_dim, rays, lin)
     _INTERSECT_MEMO[memo_key] = out
-    _INTERSECT_MEMO[(b, a)] = out
     return out
-
-
-def _cut_cell(cell, h):
-    """cell intersected with the homogeneous halfspace {h >= 0}."""
-    rays, lin = _cut_halfspace(cell.hom_gens(), cell.hom_lin(), h)
-    return _build_from_hom(cell.ambient_dim, rays, lin)
 
 
 def cut_cell_by_hom_forms(cell, ineqs, eqs=()):
     """cell intersected with homogeneous halfspaces and hyperplanes."""
-    rays, lin = cell.hom_gens(), cell.hom_lin()
-    for e in eqs:
-        rays, lin = _cut_hyperplane(rays, lin, e)
-    for f in ineqs:
-        rays, lin = _cut_halfspace(rays, lin, f)
+    rays, lin = _cut(cell.hom_gens(), cell.hom_lin(), eqs, ineqs)
     return _build_from_hom(cell.ambient_dim, rays, lin)
 
 
@@ -559,27 +484,18 @@ def lattice_normal(sigma, tau, facet_form):
     if got is not None:
         return got
     bs = sigma.direction_lattice()
-    bt = tau.direction_lattice()
     d = len(bs)
-    n = sigma.ambient_dim
-    cols = tuple(tuple(bs[i][j] for i in range(d)) for j in range(n))
-    coords = []
-    for row in bt:
-        sol = solve_rational(cols, row)
-        if sol is None:
-            raise VerificationError("facet lattice does not embed")
-        x = sol[0]
-        if any(c.denominator != 1 for c in x):
-            raise VerificationError("facet lattice is not saturated in the cell lattice")
-        coords.append(tuple(int(c) for c in x))
-    ker = integer_kernel(coords, d) if coords else integer_kernel((), d)
+    coords = [_lattice_coords(bs, row) for row in tau.direction_lattice()]
+    if None in coords:
+        raise VerificationError("facet lattice is not a saturated sublattice")
+    ker = integer_kernel(coords, d)
     if len(ker) != 1:
         raise VerificationError("facet is not of codimension one")
     xi = primitive_vector(ker[0])
     y = solve_integer((xi,), (1,))
     if y is None:
         raise VerificationError("no lattice vector maps onto the quotient generator")
-    u = tuple(sum(y[i] * bs[i][j] for i in range(d)) for j in range(n))
+    u = tuple(sum(y[i] * bs[i][j] for i in range(d)) for j in range(sigma.ambient_dim))
     s = vec_dot(facet_form, tuple(u) + (0,))
     if s == 0:
         raise VerificationError("lattice normal degenerated onto the facet")
@@ -596,13 +512,14 @@ def lattice_normal(sigma, tau, facet_form):
 class Complex:
     """A polyhedral complex given by its maximal cells."""
 
-    __slots__ = ("ambient_dim", "maximal", "_closure")
+    __slots__ = ("ambient_dim", "maximal", "_closure", "_sides")
 
     def __init__(self, ambient_dim, maximal):
         cells = tuple(sorted({c for c in maximal if not c.is_empty}, key=Cell.key))
         self.ambient_dim = ambient_dim
         self.maximal = cells
         self._closure = None
+        self._sides = None
         for c in cells:
             if c.ambient_dim != ambient_dim:
                 raise TropicalGeometryError("mixed ambient dimensions in complex")
@@ -624,6 +541,28 @@ class Complex:
                         frontier.append(child)
             self._closure = tuple(sorted(seen, key=Cell.key))
         return self._closure
+
+    def _side_needs(self):
+        """The distinct hyperplanes of the maximal cells, and the sides of
+        them that each maximal cell lies on.
+
+        Returns (forms, needs).  needs[i] codes the facets and equations of
+        the i-th maximal cell: 3h for forms[h] >= 0, 3h + 1 for
+        forms[h] <= 0 and 3h + 2 for forms[h] == 0.
+        """
+        if self._sides is None:
+            ids = {}
+            needs = []
+            for c in self.maximal:
+                need = set()
+                for f in c.hom_facets:
+                    h = ids.setdefault(_hyperplane_key(f), len(ids))
+                    need.add(3 * h + (f[_pivot_col(f)] < 0))
+                for e in c.hom_eqs:
+                    need.add(3 * ids.setdefault(_hyperplane_key(e), len(ids)) + 2)
+                needs.append(frozenset(need))
+            self._sides = (tuple(ids), tuple(needs))
+        return self._sides
 
     def find_cell_containing(self, p):
         for c in self.maximal:
@@ -836,7 +775,9 @@ def assemble_cycle(ambient_dim, dim, contributions):
                         nxt.append(p)
                         continue
                 for hh in (h, vec_neg(h)):
-                    q = _cut_cell(p, hh)
+                    q = _build_from_hom(
+                        ambient_dim, *_cut(p.hom_gens(), p.hom_lin(), (), (hh,))
+                    )
                     if not q.is_empty and q.dim == dim:
                         nxt.append(q)
             pieces = nxt
@@ -895,6 +836,59 @@ class ZeroCycleSummary:
         return sum(self.weights)
 
 
+def _missed_sides(sigma, forms):
+    """The sides of the hyperplanes `forms`, coded as in
+    Complex._side_needs, that meet sigma in less than its dimension."""
+    gens, lin = sigma.hom_gens(), sigma.hom_lin()
+    missed = set()
+    for h, form in enumerate(forms):
+        dots = [vec_dot(form, g) for g in gens]
+        lo, hi = min(dots), max(dots)
+        if lo < 0 < hi or any(vec_dot(form, l) for l in lin):
+            missed.add(3 * h + 2)
+        elif hi > 0:
+            missed.update((3 * h + 1, 3 * h + 2))
+        elif lo < 0:
+            missed.update((3 * h, 3 * h + 2))
+    return missed
+
+
+def _refine(x, carrier):
+    """Refine the cycle x along a complex covering it, remembering carriers.
+
+    Returns (cycle, origin) where origin maps every cell of the cycle to a
+    maximal carrier cell containing it.  When each cell of x already lies
+    in a carrier cell, x is returned as it is; otherwise every cell of x is
+    intersected with every carrier cell except those that lie on a side
+    of one of their hyperplanes which that cell meets in less than its
+    dimension.
+    """
+    origin = {}
+    for sigma, _ in x.cells:
+        host = next((c for c in carrier.maximal if c.contains_cell(sigma)), None)
+        if host is None:
+            break
+        origin[sigma] = host
+    else:
+        return x, origin
+    origin = {}
+    items = []
+    forms, needs = carrier._side_needs()
+    for sigma, w in x.cells:
+        missed = _missed_sides(sigma, forms)
+        pieces = {}
+        for c, need in zip(carrier.maximal, needs):
+            if not missed.isdisjoint(need):
+                continue
+            piece = intersect_cells(sigma, c)
+            if not piece.is_empty and piece.dim == sigma.dim:
+                pieces.setdefault(piece, c)
+        check_cover(sigma, list(pieces))
+        origin.update(pieces)
+        items.extend((piece, w) for piece in pieces)
+    return make_cycle(x.ambient_dim, x.dim, items), origin
+
+
 def common_refinement(x, carrier):
     """Refine the cycle x along the cells of a complex covering it.
 
@@ -903,22 +897,7 @@ def common_refinement(x, carrier):
     """
     if isinstance(carrier, TropicalCycle):
         carrier = carrier.complex()
-    if x.is_empty:
-        return x
-    if all(
-        any(c.contains_cell(sigma) for c in carrier.maximal) for sigma, _ in x.cells
-    ):
-        return x
-    items = []
-    for sigma, w in x.cells:
-        pieces = {}
-        for c in carrier.maximal:
-            piece = intersect_cells(sigma, c)
-            if not piece.is_empty and piece.dim == sigma.dim:
-                pieces[piece] = w
-        check_cover(sigma, list(pieces))
-        items.extend(pieces.items())
-    return make_cycle(x.ambient_dim, x.dim, items)
+    return _refine(x, carrier)[0]
 
 
 def check_cover(sigma, pieces):
@@ -1055,9 +1034,8 @@ def pushforward_cycle(matrix, x, translation=None, target_dim=None):
 
 def diagonal_cycle(x):
     """The image of x under v -> (v, v), weights preserved."""
-    n = x.ambient_dim
-    rows = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return pushforward_cycle(rows + rows, x, target_dim=2 * n)
+    rows = _unit_rows(x.ambient_dim)
+    return pushforward_cycle(rows + rows, x, target_dim=2 * x.ambient_dim)
 
 
 def support_covers(x, carrier):

@@ -89,8 +89,40 @@ def frac_det(rows):
     return det
 
 
+def frac_rank(rows):
+    mat = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            c = mat[i][col] / mat[rank][col]
+            mat[i] = [a - c * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
 def random_matrix(rng, m, n, lo=-9, hi=9):
     return tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(m))
+
+
+def awkward_matrix(rng, m, n, fractions=True):
+    """Random matrix that is often rank deficient, has zero columns (which
+    force a skipped pivot) and, if asked, Fraction entries."""
+    mat = [list(r) for r in random_matrix(rng, m, n, -5, 5)]
+    if m > 1 and rng.random() < 0.5:
+        i, j = rng.sample(range(m), 2)
+        c = rng.randint(-2, 2)
+        mat[i] = [c * x for x in mat[j]]
+    if rng.random() < 0.5:
+        col = rng.randrange(n)
+        for row in mat:
+            row[col] = 0
+    if fractions:
+        mat = [[Fraction(x, rng.choice((1, 1, 2, 3))) for x in row] for row in mat]
+    return tuple(tuple(r) for r in mat)
 
 
 def test_primitive_vector():
@@ -143,6 +175,14 @@ def test_rank_and_det():
         n = rng.randint(1, 5)
         mat = random_matrix(rng, n, n)
         assert det_int(mat) == frac_det(mat)
+    rng = random.Random(71)
+    for _ in range(150):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        mat = awkward_matrix(rng, m, n)
+        assert rank_int(mat) == frac_rank(mat)
+        square = awkward_matrix(rng, n, n, fractions=False)
+        assert det_int(square) == frac_det(square)
 
 
 def test_integer_kernel_properties():
@@ -182,6 +222,27 @@ def test_solve_rational():
     assert sum(x) == 3 and len(ker) == 2
     for v in ker:
         assert sum(v) == 0
+    rng = random.Random(17)
+    for _ in range(150):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        mat = awkward_matrix(rng, m, n)
+        if rng.random() < 0.5:
+            xs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            rhs = tuple(vec_dot(row, xs) for row in mat)
+        else:
+            rhs = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in mat)
+        rank = frac_rank(mat)
+        got = solve_rational(mat, rhs)
+        if got is None:
+            assert frac_rank([r + (b,) for r, b in zip(mat, rhs)]) > rank
+            continue
+        x, ker = got
+        assert all(vec_dot(row, x) == b for row, b in zip(mat, rhs))
+        assert len(ker) == n - rank
+        assert frac_rank(ker) == len(ker)
+        for v in ker:
+            assert all(vec_dot(row, v) == 0 for row in mat)
 
 
 def test_solve_integer():
@@ -206,6 +267,17 @@ def test_member_of_span():
     assert not member_of_span(((1, 0, 1), (0, 1, 1)), (0, 0, 1))
     assert member_of_span((), (0, 0))
     assert not member_of_span((), (1, 0))
+    rng = random.Random(23)
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        n = rng.randint(1, 5)
+        rows = awkward_matrix(rng, k, n)
+        if rng.random() < 0.5:
+            cs = [rng.randint(-3, 3) for _ in range(k)]
+            v = tuple(sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n))
+        else:
+            v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n))
+        assert member_of_span(rows, v) == (frac_rank(rows + (v,)) == frac_rank(rows))
 
 
 def test_lattice_index():
@@ -217,6 +289,9 @@ def test_lattice_index():
         lattice_index(((1, 0),), ((0, 1),))
     with pytest.raises(ValueError):
         lattice_index(((1, 0), (0, 1)), ((2, 0), (0, 1)))
+    # same span and determinant ratio 1, but (1, 0) is not in 2Z x Z
+    with pytest.raises(ValueError):
+        lattice_index(((1, 0), (0, 2)), ((2, 0), (0, 1)))
 
 
 def test_hnf_basis_canonical_for_equal_lattices():

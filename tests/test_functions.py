@@ -158,6 +158,23 @@ def test_divisor_refines_cycle_to_carrier():
     d = divisor(phi, line)
     assert d.cells == ((make_cell(1, vertices=[(0,)]), 6),)
 
+    # the x-axis lies in faces shared by two quadrants whose covectors for
+    # max(0, x) + max(0, +-y) differ off the axis; whichever quadrant the
+    # refinement reports, only max(0, x) along the axis counts
+    signs = (1, -1)
+    quadrants = Complex(
+        2, [cone_from_generators(2, [(sx, 0), (0, sy)]) for sx in signs for sy in signs]
+    )
+    axis = make_cycle(2, 1, [(make_cell(2, vertices=[(0, 0)], lineality=[(1, 0)]), 1)])
+    halves = make_cycle(2, 1, [(cone_from_generators(2, [(s, 0)]), 1) for s in signs])
+    origin = make_cell(2, vertices=[(0, 0)])
+    for sy in signs:
+        phi = max_poly_function(
+            quadrants, [((0, 0), 0), ((1, 0), 0), ((0, sy), 0), ((1, sy), 0)]
+        )
+        for x in (axis, halves):
+            assert divisor(phi, x).cells == ((origin, 1),)
+
 
 def test_divisor_outside_carrier_fails():
     phi_carrier = Complex(1, [make_cell(1, vertices=[(0,)], rays=[(1,)])])

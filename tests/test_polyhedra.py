@@ -5,6 +5,7 @@ against generator data, must agree with the H-representation the double
 description pass produces, and intersections must agree pointwise.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,10 +16,12 @@ from tropint.polyhedra import (
     Complex,
     TropicalGeometryError,
     ZeroCycleSummary,
+    _missed_sides,
     add_cycles,
     common_refinement,
     cone_from_generators,
     cross,
+    cut_cell_by_hom_forms,
     cycles_equal,
     degree,
     empty_cycle,
@@ -139,6 +142,11 @@ def test_empty_and_intersections_frozen():
     seg1 = make_cell(1, vertices=[(0,), (2,)])
     seg2 = make_cell(1, vertices=[(1,), (3,)])
     assert intersect_cells(seg1, seg2) == make_cell(1, vertices=[(1,), (2,)])
+    # cutting the line along (1, 1) by x = 2y uses a pivot with a.l < 0
+    lines = [make_cell(2, vertices=[(0, 0)], lineality=[l]) for l in ((1, 1), (2, 1))]
+    assert intersect_cells(*lines) == make_cell(2, vertices=[(0, 0)])
+    shifted = make_cell(2, vertices=[(1, 0)], lineality=[(2, 1)])
+    assert intersect_cells(lines[0], shifted) == make_cell(2, vertices=[(-1, -1)])
 
 
 def test_membership_against_generators():
@@ -372,6 +380,49 @@ def test_common_refinement_and_cover():
     hole = Complex(2, [make_cell(2, vertices=[(0, 0)], rays=[(1, 0)], lineality=[(0, 1)])])
     with pytest.raises(TropicalGeometryError):
         common_refinement(line, hole)
+    # along the regions of a random plane arrangement, the refinement is
+    # the full-dimensional part of every cell met with every region
+    rng = random.Random(99)
+    space = make_cell(3, vertices=[(0, 0, 0)], lineality=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    for _ in range(6):
+        planes = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(3)]
+        planes = [h for h in planes if any(h[:3])]
+        regions = []
+        for signs in itertools.product((1, -1), repeat=len(planes)):
+            forms = [tuple(s * v for v in h) for s, h in zip(signs, planes)]
+            region = cut_cell_by_hom_forms(space, forms)
+            if not region.is_empty and region.dim == 3:
+                regions.append(region)
+        for dim in (1, 2):
+            cells = [c for c in (random_cell(rng) for _ in range(30)) if c.dim == dim]
+            x = make_cycle(3, dim, [(c, 1) for c in cells[:3]])
+            pieces = [
+                (p, w)
+                for sigma, w in x.cells
+                for p in {intersect_cells(sigma, r) for r in regions}
+                if not p.is_empty and p.dim == dim
+            ]
+            assert common_refinement(x, Complex(3, regions)) == make_cycle(3, dim, pieces)
+    # a carrier cell the sign test skips never meets the cell in full
+    # dimension; over random cells some are skipped and some full meetings kept
+    rng = random.Random(4242)
+    skipped = full = 0
+    for _ in range(30):
+        carrier = Complex(2, [random_cell(rng, 2) for _ in range(5)])
+        forms, needs = carrier._side_needs()
+        for _ in range(4):
+            sigma = random_cell(rng, 2)
+            if sigma.is_empty:
+                continue
+            missed = _missed_sides(sigma, forms)
+            for c, need in zip(carrier.maximal, needs):
+                piece = intersect_cells(sigma, c)
+                meets = not piece.is_empty and piece.dim == sigma.dim
+                if not missed.isdisjoint(need):
+                    skipped += 1
+                    assert not meets
+                full += meets
+    assert skipped and full
 
 
 def test_complex_validation():
