@@ -26,7 +26,6 @@ from .intersect import (
 from .linspace import (
     DiagonalRepresentation,
     build_lnk,
-    diagonal_divisors_rn,
     fnk_cycle,
     rewrite_diagonal,
     rn_cycle,
@@ -189,7 +188,7 @@ def _product_form(n, k):
         n,
         n - k,
         ((1, tuple(combos)),),
-        diagonal_divisors_rn(n, k),
+        None,
         build_lnk(n, n - k),
         base=cross(rn_cycle(n), rn_cycle(n)),
     )

@@ -11,14 +11,13 @@ Parsing the serialization of a value reproduces the value exactly.
 import json
 from fractions import Fraction
 
-from .functions import CartierExpression, PLFunction
+from .functions import PLFunction
 from .intersect import Morphism
 from .linspace import (
     DiagonalRepresentation,
     build_lnk,
     parse_symbol,
     rn_cycle,
-    symbol_function,
     symbol_name,
 )
 from .polyhedra import (
@@ -285,7 +284,6 @@ def diagonal_from_doc(doc, where="diagonal"):
     if base_tag not in ("space", "complete"):
         raise FormatError("%s.base: expected 'space' or 'complete'" % where)
     tuples = []
-    terms = []
     for i, term in enumerate(_list_field(doc, "terms", where)):
         here = "%s.terms[%d]" % (where, i)
         coef = _dec_int(_field(term, "coefficient", here), here)
@@ -305,7 +303,6 @@ def diagonal_from_doc(doc, where="diagonal"):
                 combo[sym] = _dec_int(val, spot)
             combos.append(combo)
         tuples.append((coef, tuple(combos)))
-        terms.append((coef, [symbol_function(n, combo) for combo in combos]))
     base = None
     if base_tag == "complete":
         base = cross(rn_cycle(n), rn_cycle(n))
@@ -313,7 +310,7 @@ def diagonal_from_doc(doc, where="diagonal"):
         n,
         space_dim,
         tuple(tuples),
-        CartierExpression(terms),
+        None,
         build_lnk(n, space_dim),
         base=base,
     )

@@ -10,14 +10,19 @@ that the diagonal becomes a subfan; its rays are named by symbols
 
 and every cone is the span of a set of symbol rays.  The rewriting
 procedure expresses the diagonal of L^n_m as a sum of products of m ray
-function combinations applied to [L^n_m x L^n_m]; each emitted
-representation is re-verified by direct divisor computation, which is the
-source of truth.
+function combinations applied to [L^n_m x L^n_m].  Each emitted
+representation is verified exactly on the fan F^n_n: [L^n_m x L^n_m]
+refined along F^n_n is the weight-one subfan F^n_m, every factor is a ray
+function on F^n_n, and F^n_n is unimodular, so the divisors are computed
+on symbol sets with integers alone.  Applying the PL functions
+geometrically, as intersection contexts do, is the test oracle for this
+check and remains the check for stars.
 """
 
 from itertools import combinations
 from math import comb
 
+from .exactmath import solve_integer
 from .functions import CartierExpression, ray_function
 from .polyhedra import (
     Complex,
@@ -137,18 +142,13 @@ def build_lnk(n, k):
     return out
 
 
-def build_fnk(n, k):
-    """The refinement F^n_k of L^n_k x L^n_k, as a complex of symbol cones.
+def _symbol_cones(n, k):
+    """The maximal cones of F^n_k, as sets of symbols.
 
-    Cones containing both T_i and B_i for some i are recursively split
-    along D_i; the result is simplicial and unimodular with the diagonal
-    as a subfan.
+    Each pair of k-subsets I, J of {0, ..., n} gives the cone on
+    {T_i : i in I} and {B_j : j in J}; cones containing both T_i and B_i
+    for some i are recursively split along D_i.
     """
-    if not 0 <= k <= n:
-        raise TropicalGeometryError("need 0 <= k <= n")
-    got = _FNK_CACHE.get((n, k))
-    if got is not None:
-        return got
     final = set()
     for isub in combinations(range(n + 1), k):
         for jsub in combinations(range(n + 1), k):
@@ -164,8 +164,22 @@ def build_fnk(n, k):
                 else:
                     stack.append(s - {("T", pair)} | {("D", pair)})
                     stack.append(s - {("B", pair)} | {("D", pair)})
+    return final
+
+
+def build_fnk(n, k):
+    """The refinement F^n_k of L^n_k x L^n_k, as a complex of symbol cones.
+
+    The result is simplicial and unimodular with the diagonal as a subfan.
+    """
+    if not 0 <= k <= n:
+        raise TropicalGeometryError("need 0 <= k <= n")
+    got = _FNK_CACHE.get((n, k))
+    if got is not None:
+        return got
     cones = [
-        cone_from_generators(2 * n, [symbol_ray(n, sym) for sym in s]) for s in final
+        cone_from_generators(2 * n, [symbol_ray(n, sym) for sym in s])
+        for s in _symbol_cones(n, k)
     ]
     out = Complex(2 * n, cones)
     _FNK_CACHE[(n, k)] = out
@@ -196,10 +210,117 @@ def diagonal_divisors_rn(n, k):
     factors = [
         symbol_function(n, {("T", i): 1, ("B", 0): 1}) for i in range(1, n + 1)
     ]
-    factors.extend(
-        symbol_function(n, {("T", 0): 1, ("D", 0): 1}) for _ in range(k)
-    )
+    factors += [symbol_function(n, {("T", 0): 1, ("D", 0): 1})] * k
     return CartierExpression([(1, factors)])
+
+
+def _symbol_expression(n, tuples):
+    """The Cartier expression of rewriting tuples, one symbol function per
+    distinct factor combination."""
+    functions = {}
+
+    def function(combo):
+        key = frozenset((sym, c) for sym, c in combo.items() if c)
+        if key not in functions:
+            functions[key] = symbol_function(n, combo)
+        return functions[key]
+
+    return CartierExpression(
+        [(alpha, [function(f) for f in factors]) for alpha, factors in tuples]
+    )
+
+
+class _SymbolFan:
+    """Divisors of symbol combinations on weighted subfans of F^n_n.
+
+    A subfan maps symbol sets, each a cone of F^n_n, to integer weights.
+    F^n_n is unimodular, so the lattice normal of sigma over its facet
+    tau = sigma - {s} is the ray of s, and the divisor of phi gives tau
+    the weight
+
+        sum_sigma w_sigma phi(s) - sum_rho a_rho phi(rho),
+
+    where sum_sigma w_sigma r_s = sum_rho a_rho r_rho over the rays rho of
+    tau.  The expansions are remembered for the lifetime of the instance.
+    """
+
+    __slots__ = ("n", "rays", "_coords")
+
+    def __init__(self, n):
+        self.n = n
+        self.rays = {
+            (kind, i): symbol_ray(n, (kind, i))
+            for kind in ("T", "B", "D")
+            for i in range(n + 1)
+        }
+        self._coords = {}
+
+    def _expand(self, names, total):
+        """Integer coordinates of total in the rays named, or None."""
+        key = (names, total)
+        if key not in self._coords:
+            if names:
+                rows = tuple(zip(*(self.rays[r] for r in names)))
+                got = solve_integer(rows, total)
+            else:
+                got = None if any(total) else ()
+            self._coords[key] = got
+        return self._coords[key]
+
+    def divisor(self, combo, cones):
+        """The divisor of the ray function with values `combo` on `cones`.
+
+        Raises VerificationError when the subfan is not balanced.
+        """
+        around = {}
+        for sigma, w in cones.items():
+            for s in sigma:
+                around.setdefault(sigma - {s}, []).append((s, w))
+        out = {}
+        for tau, normals in around.items():
+            total = [0] * (2 * self.n)
+            weight = 0
+            for s, w in normals:
+                weight += w * combo.get(s, 0)
+                for i, x in enumerate(self.rays[s]):
+                    total[i] += w * x
+            names = tuple(sorted(tau))
+            coords = self._expand(names, tuple(total))
+            if coords is None:
+                raise VerificationError(
+                    "weighted subfan of F^%d_%d is not balanced around {%s}"
+                    % (self.n, self.n, ", ".join(map(symbol_name, names)))
+                )
+            weight -= sum(a * combo.get(r, 0) for a, r in zip(coords, names))
+            if weight:
+                out[tau] = weight
+        return out
+
+
+def _fan_identity(n, c, tuples, complete):
+    """True iff the tuples, applied to the base subfan of F^n_n, give the
+    diagonal of L^n_c.
+
+    The base [L^n_c x L^n_c] refined along F^n_n is F^n_c with weight one;
+    the complete base [R^n x R^n] is F^n_n.  The diagonal is the subfan on
+    the cones {D_i : i in S}, |S| = c, with weight one.
+    """
+    fan = _SymbolFan(n)
+    base = dict.fromkeys(_symbol_cones(n, n if complete else c), 1)
+    got = {}
+    for alpha, combos in tuples:
+        cur = base
+        for combo in combos:
+            cur = fan.divisor(combo, cur)
+            if not cur:
+                break
+        for cone, w in cur.items():
+            got[cone] = got.get(cone, 0) + alpha * w
+    want = {
+        frozenset(("D", i) for i in subset): 1
+        for subset in combinations(range(n + 1), c)
+    }
+    return {cone: w for cone, w in got.items() if w} == want
 
 
 class DiagonalRepresentation:
@@ -210,28 +331,55 @@ class DiagonalRepresentation:
     corresponding PL functions.  Applying the expression to `base`
     (by default [space x space]) reproduces diagonal_cycle(space) exactly.
     The full product form uses the complete fan [R^n x R^n] as its base.
+
+    Built with expression=None, the representation lives on L^n_c and
+    derives its expression from the tuples when first asked for it, so
+    the identity is checked exactly on the fan F^n_n with the tuples'
+    integer combinations.  An explicit expression, such as the restricted
+    functions of a star, is checked by applying it to the base cycle.
     """
 
     __slots__ = (
-        "n", "space_dim", "tuples", "expression", "space", "base", "verified",
+        "n", "space_dim", "tuples", "space", "base", "verified",
+        "_expression", "_derived",
     )
 
     def __init__(self, n, space_dim, tuples, expression, space, base=None):
+        self._derived = expression is None
+        if self._derived and (
+            space != build_lnk(n, space_dim)
+            or not (base is None or base == cross(rn_cycle(n), rn_cycle(n)))
+        ):
+            raise TropicalGeometryError(
+                "a derived expression needs the space L^n_c and the base "
+                "[L^n_c x L^n_c] or [R^n x R^n]"
+            )
         self.n = n
         self.space_dim = space_dim
         self.tuples = tuples
-        self.expression = expression
         self.space = space
         self.base = base
         self.verified = False
+        self._expression = expression
+
+    @property
+    def expression(self):
+        if self._expression is None:
+            self._expression = _symbol_expression(self.n, self.tuples)
+        return self._expression
 
     def verify(self):
-        product = self.base
-        if product is None:
-            product = cross(self.space, self.space)
-        got = self.expression.apply(product)
-        expect = diagonal_cycle(self.space)
-        if not cycles_equal(got, expect):
+        if self._derived:
+            ok = _fan_identity(
+                self.n, self.space_dim, self.tuples, self.base is not None
+            )
+        else:
+            product = self.base
+            if product is None:
+                product = cross(self.space, self.space)
+            got = self.expression.apply(product)
+            ok = cycles_equal(got, diagonal_cycle(self.space))
+        if not ok:
             raise VerificationError(
                 "diagonal representation failed its defining identity"
             )
@@ -254,7 +402,8 @@ def rewrite_diagonal(n, k):
     surviving monomial, processing correction terms in increasing (A+D)
     degree.  Emits tuples of n-k factor combinations whose weighted sum
     applied to [L^n_{n-k} x L^n_{n-k}] is the diagonal; the identity is
-    re-verified numerically before the representation is returned.
+    verified exactly on the fan F^n_n before the representation is
+    returned.
     """
     if not 0 <= k <= n:
         raise TropicalGeometryError("need 0 <= k <= n")
@@ -263,13 +412,6 @@ def rewrite_diagonal(n, k):
         return got
     c = n - k
     space = build_lnk(n, c)
-    if c == 0:
-        rep = DiagonalRepresentation(
-            n, 0, ((1, ()),), CartierExpression([(1, ())]), space
-        )
-        rep.verify()
-        _REWRITE_CACHE[(n, k)] = rep
-        return rep
     # states (S, s, t): the monomial T_S B^s (A+D)^{t+k}, |S| + s + t = n;
     # monomials with more than n-k distinct T/D factors already vanish
     states = {}
@@ -311,13 +453,7 @@ def rewrite_diagonal(n, k):
         tuples = tuple(
             (alpha, tuple(dict(f) for f in factors)) for alpha, factors in emitted
         )
-    expression = CartierExpression(
-        [
-            (alpha, [symbol_function(n, f) for f in factors])
-            for alpha, factors in tuples
-        ]
-    )
-    rep = DiagonalRepresentation(n, c, tuples, expression, space)
+    rep = DiagonalRepresentation(n, c, tuples, None, space)
     rep.verify()
     _REWRITE_CACHE[(n, k)] = rep
     return rep

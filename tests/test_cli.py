@@ -161,6 +161,15 @@ def test_diagonal_form_verifies_over_complete_fan(capsys):
     assert "(T1+B) * (T2+B) * (A+D)" in err
     rep = parse_document(out)
     rep.verify()
+    # the fan check against the geometric identity on [R^n x R^n]
+    from tropint.polyhedra import diagonal_cycle
+
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            rep = cli._product_form(n, k)
+            assert rep.verified
+            got = rep.expression.apply(rep.base)
+            assert cycles_equal(got, diagonal_cycle(rep.space)), (n, k)
 
 
 def test_ambient_shorthand():

@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
 from tropint.exactmath import det_int
+from tropint.functions import UnbalancedCycleError, divisor
 from tropint.linspace import (
+    _SymbolFan,
+    _symbol_cones,
     build_fnk,
     build_lnk,
     combination_name,
@@ -12,6 +17,7 @@ from tropint.linspace import (
     rewrite_diagonal,
     rn_cycle,
     star_diagonal,
+    symbol_function,
     symbol_name,
     symbol_ray,
     DiagonalRepresentation,
@@ -19,12 +25,15 @@ from tropint.linspace import (
 from tropint.polyhedra import (
     TropicalGeometryError,
     VerificationError,
+    common_refinement,
     cone_from_generators,
     cross,
     cycles_equal,
     diagonal_cycle,
+    empty_cycle,
     is_balanced,
     make_cell,
+    make_cycle,
 )
 
 
@@ -105,12 +114,71 @@ def test_diagonal_is_subfan():
                 assert dcone in closure
 
 
+def _subfan_cycle(n, cones):
+    """The cycle of a weighted subfan of F^n_n given by symbol sets."""
+    if not cones:
+        return empty_cycle(2 * n)
+    return make_cycle(
+        2 * n,
+        len(next(iter(cones))),
+        [
+            (cone_from_generators(2 * n, [symbol_ray(n, s) for s in sigma]), w)
+            for sigma, w in cones.items()
+        ],
+    )
+
+
+def test_space_base_refines_to_symbol_cones():
+    # [L^n_c x L^n_c] refined along F^n_n is F^n_c with weight one, so the
+    # fan check starts from the symbol sets of F^n_c
+    for n in (1, 2, 3):
+        for c in range(1, n + 1):
+            lnc = build_lnk(n, c)
+            got = common_refinement(cross(lnc, lnc), build_fnk(n, n))
+            want = _subfan_cycle(n, dict.fromkeys(_symbol_cones(n, c), 1))
+            assert got == want, (n, c)
+
+
+def test_fan_divisor_matches_geometric_divisor():
+    rng = random.Random(2009)
+    for n, c in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]:
+        fan = _SymbolFan(n)
+        for _ in range(3):
+            cones = dict.fromkeys(_symbol_cones(n, c), 1)
+            for _ in range(2):
+                combo = {
+                    sym: rng.randint(-2, 2) for sym in rng.sample(sorted(fan.rays), 3)
+                }
+                x = _subfan_cycle(n, cones)
+                cones = fan.divisor(combo, cones)
+                want = divisor(symbol_function(n, combo), x)
+                assert _subfan_cycle(n, cones) == want, (n, c, combo)
+                if not cones:
+                    break
+
+
+def test_fan_divisor_rejects_unbalanced_subfans():
+    fan = _SymbolFan(2)
+    combo = {("T", 1): 1, ("D", 0): -1}
+    cones = dict.fromkeys(_symbol_cones(2, 2), 1)
+    lone = min(cones, key=sorted)
+    with pytest.raises(VerificationError):
+        fan.divisor(combo, {lone: 1})
+    with pytest.raises(UnbalancedCycleError):
+        divisor(symbol_function(2, combo), _subfan_cycle(2, {lone: 1}))
+    cones[lone] = 2
+    with pytest.raises(VerificationError):
+        fan.divisor(combo, cones)
+
+
 def test_diagonal_divisor_product_small():
     for (n, k) in [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]:
         expr = diagonal_divisors_rn(n, k)
         assert expr.degree() == n + k
         got = expr.apply(fnk_cycle(n, n))
         assert cycles_equal(got, diagonal_cycle(build_lnk(n, n - k)))
+        # (A+D) is built once and repeated
+        assert len({id(phi) for phi in expr.terms[0][1]}) == n + min(k, 1)
 
 
 def _combo_set(rep):
@@ -165,6 +233,25 @@ def test_rewrite_two_step_case():
     assert (-1, (b, ad)) in combos
     assert (1, (ad, ad)) in combos
     assert sum(alpha for alpha, _ in combos) == 1 + 3 + 3 - 1 - 3 + 1
+    # one function per distinct combination: T1, T2, T3, B and A+D
+    functions = {id(phi) for _, phis in r31.expression.terms for phi in phis}
+    assert len(functions) == 5
+
+
+def test_rewrite_frontier():
+    rep = rewrite_diagonal(4, 1)
+    assert len(rep.tuples) == 32
+    assert rep.verified
+
+
+def test_fan_check_agrees_with_geometric_identity():
+    cases = [(n, k) for n in (1, 2, 3) for k in range(n + 1)] + [(4, 2), (4, 3)]
+    for n, k in cases:
+        rep = rewrite_diagonal(n, k)
+        assert rep.verified and rep.verify()
+        space = rep.space
+        got = rep.expression.apply(cross(space, space))
+        assert cycles_equal(got, diagonal_cycle(space)), (n, k)
 
 
 def test_rewrite_verification_is_hard_error():
@@ -178,6 +265,22 @@ def test_rewrite_verification_is_hard_error():
     )
     with pytest.raises(VerificationError):
         wrong.verify()
+
+    # derived expressions, checked on the fan: a flipped coefficient and a
+    # dropped term both break the identity
+    r31 = rewrite_diagonal(3, 1)
+    (alpha, factors), rest = r31.tuples[0], r31.tuples[1:]
+    for tuples in [((-alpha, factors),) + rest, rest]:
+        bad = DiagonalRepresentation(3, 2, tuples, None, r31.space)
+        with pytest.raises(VerificationError):
+            bad.verify()
+        assert not bad.verified
+        oracle = DiagonalRepresentation(3, 2, tuples, bad.expression, r31.space)
+        with pytest.raises(VerificationError):
+            oracle.verify()
+    # a derived expression only stands for the standard base
+    with pytest.raises(TropicalGeometryError):
+        DiagonalRepresentation(3, 2, r31.tuples, None, build_lnk(3, 1))
 
 
 def test_relations_examples():
