@@ -24,18 +24,16 @@ from .intersect import (
     pushforward,
 )
 from .linspace import (
-    DiagonalRepresentation,
     build_lnk,
+    diagonal_product_form,
     fnk_cycle,
     rewrite_diagonal,
-    rn_cycle,
 )
 from .polyhedra import (
     TropicalCycle,
     TropicalGeometryError,
     VerificationError,
     common_refinement,
-    cross,
     cycles_equal,
     degree,
     is_balanced,
@@ -181,23 +179,9 @@ def _cmd_divisor(args):
     _report(args, "divisor: %s" % _describe(y))
 
 
-def _product_form(n, k):
-    combos = [{("T", i): 1, ("B", 0): 1} for i in range(1, n + 1)]
-    combos += [{("T", 0): 1, ("D", 0): 1}] * k
-    rep = DiagonalRepresentation(
-        n,
-        n - k,
-        ((1, tuple(combos)),),
-        None,
-        build_lnk(n, n - k),
-        base=cross(rn_cycle(n), rn_cycle(n)),
-    )
-    rep.verify()
-    return rep
-
-
 def _cmd_diagonal_form(args):
-    rep = _product_form(args.n, args.k)
+    rep = diagonal_product_form(args.n, args.k)
+    rep.verify()
     _emit(args, formats.serialize(rep))
     for line in rep.describe():
         _report(args, line)

@@ -15,7 +15,6 @@ from .functions import PLFunction
 from .intersect import Morphism
 from .linspace import (
     DiagonalRepresentation,
-    build_lnk,
     parse_symbol,
     rn_cycle,
     symbol_name,
@@ -306,14 +305,7 @@ def diagonal_from_doc(doc, where="diagonal"):
     base = None
     if base_tag == "complete":
         base = cross(rn_cycle(n), rn_cycle(n))
-    rep = DiagonalRepresentation(
-        n,
-        space_dim,
-        tuple(tuples),
-        None,
-        build_lnk(n, space_dim),
-        base=base,
-    )
+    rep = DiagonalRepresentation(n, space_dim, tuple(tuples), base=base)
     # The flag records the emitting process's check; verify() re-derives it.
     rep.verified = _bool_field(doc, "verified", where)
     return rep

@@ -632,7 +632,7 @@ def star_cell(cell, x):
         w, _ = clear_denominators(tuple(a - b for a, b in zip(v, x)))
         if not is_zero(w):
             rays.append(primitive_vector(w))
-    return make_cell(cell.ambient_dim, (), rays, cell.lineality)
+    return cone_from_generators(cell.ambient_dim, rays, cell.lineality)
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +804,8 @@ def cycles_equal(x, y):
     """True iff the cycles agree cellwise on a common refinement."""
     if x.ambient_dim != y.ambient_dim:
         raise TropicalGeometryError("ambient dimension mismatch")
+    if x == y:  # canonical cells: equal cell lists need no refinement
+        return True
     if x.is_empty or y.is_empty:
         return x.is_empty and y.is_empty
     if x.dim != y.dim:

@@ -12,7 +12,12 @@ from tropint.intersect import (
     projection_morphism,
     pullback_cycle,
 )
-from tropint.linspace import build_lnk, rewrite_diagonal, rn_cycle
+from tropint.linspace import (
+    build_lnk,
+    diagonal_product_form,
+    rewrite_diagonal,
+    rn_cycle,
+)
 from tropint.polyhedra import (
     VerificationError,
     cone_from_generators,
@@ -166,8 +171,8 @@ def test_diagonal_form_verifies_over_complete_fan(capsys):
 
     for n in (1, 2, 3):
         for k in range(n + 1):
-            rep = cli._product_form(n, k)
-            assert rep.verified
+            rep = diagonal_product_form(n, k)
+            assert rep.verify()
             got = rep.expression.apply(rep.base)
             assert cycles_equal(got, diagonal_cycle(rep.space)), (n, k)
 

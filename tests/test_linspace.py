@@ -4,6 +4,7 @@ import pytest
 
 from tropint.exactmath import det_int
 from tropint.functions import UnbalancedCycleError, divisor
+from tropint.intersect import AmbientContext
 from tropint.linspace import (
     _SymbolFan,
     _symbol_cones,
@@ -137,6 +138,7 @@ def test_space_base_refines_to_symbol_cones():
             got = common_refinement(cross(lnc, lnc), build_fnk(n, n))
             want = _subfan_cycle(n, dict.fromkeys(_symbol_cones(n, c), 1))
             assert got == want, (n, c)
+            assert cycles_equal(got, want)
 
 
 def test_fan_divisor_matches_geometric_divisor():
@@ -254,33 +256,74 @@ def test_fan_check_agrees_with_geometric_identity():
         assert cycles_equal(got, diagonal_cycle(space)), (n, k)
 
 
+def _oracle_holds(rep):
+    """The geometric identity: the expression applied to [space x space]
+    is the diagonal of the space."""
+    try:
+        AmbientContext(rep.space, (rep.expression,))
+    except VerificationError:
+        return False
+    return True
+
+
+def _mutations(tuples):
+    """The tuples with one coefficient flipped, or with one term dropped."""
+    for i, (alpha, factors) in enumerate(tuples):
+        yield tuples[:i] + ((-alpha, factors),) + tuples[i + 1:]
+        yield tuples[:i] + tuples[i + 1:]
+
+
+def _star_cases(n3_dims):
+    """Every cell of L^2_k, and the ray (1, 1, 1) of L^3_k for k in n3_dims."""
+    for k in range(3):
+        for tau in build_lnk(2, k).complex().all_cells():
+            yield 2, k, tau
+    ray = cone_from_generators(3, [(1, 1, 1)])
+    for k in n3_dims:
+        yield 3, k, ray
+
+
 def test_rewrite_verification_is_hard_error():
+    # a wrong expression fails the geometric identity, and wrong tuples
+    # fail the fan check
     base = rewrite_diagonal(1, 0)
-    wrong = DiagonalRepresentation(
-        1,
-        1,
-        ((1, ({("B", 0): 2},)),),
-        diagonal_divisors_rn(1, 1),  # wrong degree on purpose: A+D only
-        base.space,
-    )
+    with pytest.raises(VerificationError):
+        # wrong degree on purpose: A+D only
+        AmbientContext(base.space, (diagonal_divisors_rn(1, 1),))
+    wrong = DiagonalRepresentation(1, 1, ((1, ({("B", 0): 2},)),))
     with pytest.raises(VerificationError):
         wrong.verify()
+    assert not _oracle_holds(wrong)
 
-    # derived expressions, checked on the fan: a flipped coefficient and a
-    # dropped term both break the identity
+    # a flipped coefficient and a dropped term both break the identity,
+    # on the fan and geometrically
     r31 = rewrite_diagonal(3, 1)
-    (alpha, factors), rest = r31.tuples[0], r31.tuples[1:]
-    for tuples in [((-alpha, factors),) + rest, rest]:
-        bad = DiagonalRepresentation(3, 2, tuples, None, r31.space)
+    for tuples in list(_mutations(r31.tuples))[:2]:
+        bad = DiagonalRepresentation(3, 2, tuples)
         with pytest.raises(VerificationError):
             bad.verify()
         assert not bad.verified
-        oracle = DiagonalRepresentation(3, 2, tuples, bad.expression, r31.space)
-        with pytest.raises(VerificationError):
-            oracle.verify()
-    # a derived expression only stands for the standard base
+        assert not _oracle_holds(bad)
+
+    # at a star the check is local, so some mutations keep the identity;
+    # the fan check and the geometric identity agree on every one
+    failed = 0
+    for n, k, tau in _star_cases((1,)):
+        for tuples in _mutations(rewrite_diagonal(n, n - k).tuples):
+            bad = DiagonalRepresentation(n, k, tuples, tau=tau)
+            try:
+                holds = bad.verify()
+            except VerificationError:
+                holds = False
+            assert holds == _oracle_holds(bad), (n, k, tau, tuples)
+            failed += not holds
+    assert failed > 0
+
+    # a representation only stands for the bases [L x L] and [R^n x R^n]
     with pytest.raises(TropicalGeometryError):
-        DiagonalRepresentation(3, 2, r31.tuples, None, build_lnk(3, 1))
+        DiagonalRepresentation(
+            3, 2, r31.tuples, base=cross(build_lnk(3, 1), rn_cycle(3))
+        )
 
 
 def test_relations_examples():
@@ -312,7 +355,9 @@ def test_star_diagonal_origin_matches_base():
     origin = make_cell(2, [(0, 0)])
     rep = star_diagonal(2, 1, origin)
     assert rep.tuples == rewrite_diagonal(2, 1).tuples
+    assert rep.space == rewrite_diagonal(2, 1).space
     assert rep.verified
+    assert star_diagonal(3, 3, make_cell(3, [(0, 0, 0)])).verified
 
 
 def test_star_diagonal_at_ray_and_maximal():
@@ -327,6 +372,12 @@ def test_star_diagonal_at_ray_and_maximal():
     assert full.verified
     ((cell, w),) = full.space.cells
     assert cell.dim == 2 and len(cell.lineality) == 2
+
+    # the fan check at a star against the geometric identity
+    for n, k, tau in _star_cases((1, 2, 3)):
+        rep = star_diagonal(n, k, tau)
+        assert rep.verified and _oracle_holds(rep), (n, k, tau)
+    assert star_diagonal(4, 3, cone_from_generators(4, [(1, 1, 1, 1)])).verified
 
 
 def test_star_diagonal_rejects_non_cells():

@@ -346,6 +346,10 @@ def test_star_of_fan_at_origin_is_itself():
     x = make_cycle(2, 1, [(c, 1) for c in cones])
     origin = make_cell(2, vertices=[(0, 0)])
     assert star(x, origin, (0, 0)) == x
+    # the star of a point is the origin, with the point's weight
+    p = make_cell(2, vertices=[(3, 1)])
+    at_p = star(make_cycle(2, 0, [(p, 2)]), p, (3, 1))
+    assert at_p == make_cycle(2, 0, [(origin, 2)])
 
 
 def test_stellar_subdivision():
