@@ -14,10 +14,15 @@ through its cached homogeneous generators.  Refining a cycle along a
 carrier complex reports, for each piece, the carrier cell it came from
 (the containing cell, or the cell it was intersected with), so divisors
 read covectors without locating points.  A refinement signs each cell
-against the carrier's distinct hyperplanes once and intersects it only
-with the carrier cells whose facet and equation sides it can meet in full
-dimension, so cells that meet in a lower-dimensional face never reach the
-intersection memo.
+against the carrier's distinct hyperplanes once, summing over their
+nonzero entries only, and intersects it only with the carrier cells whose
+facet and equation sides it can meet in full dimension, so cells that
+meet in a lower-dimensional face never reach the intersection memo.  The
+cover check that follows works on facet forms: a facet of a single piece
+is on the boundary iff its inequality is one of the cell's own.
+
+Products of cells are built from the factors' homogeneous generators, so
+a product found in the build memo costs no Fraction arithmetic.
 
 Conventions:
   * a cell with no vertices is the empty cell;
@@ -438,15 +443,33 @@ def cut_cell_by_hom_forms(cell, ineqs, eqs=()):
 
 
 def cross_cells(a, b):
-    """Product cell inside the concatenated ambient space."""
+    """Product cell inside the concatenated ambient space.
+
+    Built from the factors' homogeneous generators: the vertices (w_a, t_a)
+    and (w_b, t_b) give the vertex (t_b w_a, t_a w_b, t_a t_b), made
+    primitive, and rays and lineality are padded with zeros.  These are the
+    generators make_cell forms from the concatenated vertices, rays and
+    lineality, so the memo key and the cell are the same.
+    """
     if a.is_empty or b.is_empty:
         return _empty_cell(a.ambient_dim + b.ambient_dim)
     za = (0,) * a.ambient_dim
-    zb = (0,) * b.ambient_dim
-    verts = [va + vb for va in a.vertices for vb in b.vertices]
-    rays = [r + zb for r in a.rays] + [za + r for r in b.rays]
-    lin = [l + zb for l in a.lineality] + [za + l for l in b.lineality]
-    return make_cell(a.ambient_dim + b.ambient_dim, verts, rays, lin)
+    zb = (0,) * (b.ambient_dim + 1)
+    ga, gb = a.hom_gens(), b.hom_gens()
+    hgens = [
+        primitive_vector(
+            tuple(u[-1] * x for x in g[:-1]) + tuple(g[-1] * x for x in u[:-1])
+            + (g[-1] * u[-1],)
+        )
+        for g in ga
+        if g[-1]
+        for u in gb
+        if u[-1]
+    ]
+    hgens += [g[:-1] + zb for g in ga if not g[-1]]
+    hgens += [za + u for u in gb if not u[-1]]
+    hlin = [l[:-1] + zb for l in a.hom_lin()] + [za + l for l in b.hom_lin()]
+    return _build_from_hom(a.ambient_dim + b.ambient_dim, tuple(hgens), tuple(hlin))
 
 
 def is_face(cell, face):
@@ -546,7 +569,9 @@ class Complex:
         """The distinct hyperplanes of the maximal cells, and the sides of
         them that each maximal cell lies on.
 
-        Returns (forms, needs).  needs[i] codes the facets and equations of
+        Returns (forms, needs).  forms[h] is the h-th distinct hyperplane
+        (a `_hyperplane_key`) given sparsely, as the (index, value) pairs of
+        its nonzero entries.  needs[i] codes the facets and equations of
         the i-th maximal cell: 3h for forms[h] >= 0, 3h + 1 for
         forms[h] <= 0 and 3h + 2 for forms[h] == 0.
         """
@@ -561,7 +586,8 @@ class Complex:
                 for e in c.hom_eqs:
                     need.add(3 * ids.setdefault(_hyperplane_key(e), len(ids)) + 2)
                 needs.append(frozenset(need))
-            self._sides = (tuple(ids), tuple(needs))
+            forms = tuple(tuple((i, v) for i, v in enumerate(h) if v) for h in ids)
+            self._sides = (forms, tuple(needs))
         return self._sides
 
     def find_cell_containing(self, p):
@@ -839,14 +865,16 @@ class ZeroCycleSummary:
 
 
 def _missed_sides(sigma, forms):
-    """The sides of the hyperplanes `forms`, coded as in
-    Complex._side_needs, that meet sigma in less than its dimension."""
+    """The sides of the sparse hyperplanes `forms`, given and coded as in
+    Complex._side_needs, that meet sigma in less than its dimension.
+
+    Each sign is a sum over the nonzero entries of the form only."""
     gens, lin = sigma.hom_gens(), sigma.hom_lin()
     missed = set()
     for h, form in enumerate(forms):
-        dots = [vec_dot(form, g) for g in gens]
+        dots = [sum([g[i] * v for i, v in form]) for g in gens]
         lo, hi = min(dots), max(dots)
-        if lo < 0 < hi or any(vec_dot(form, l) for l in lin):
+        if lo < 0 < hi or any(sum([l[i] * v for i, v in form]) for l in lin):
             missed.add(3 * h + 2)
         elif hi > 0:
             missed.update((3 * h + 1, 3 * h + 2))
@@ -903,11 +931,15 @@ def common_refinement(x, carrier):
 
 
 def check_cover(sigma, pieces):
-    """Verify that equal-dimensional pieces of sigma tile all of it.
+    """Verify that pieces of sigma tile all of it.
 
-    Pieces must be mutually face-to-face.  An interior facet of the union
-    belongs to exactly two pieces; one hit by a single piece that is not on
-    the boundary of sigma witnesses a hole.
+    Precondition: the pieces lie in sigma, have sigma's dimension and are
+    mutually face-to-face.  An interior facet of the union belongs to
+    exactly two pieces.  A facet of a single piece lies on the boundary of
+    sigma iff its facet inequality is one of sigma's: pieces of sigma's
+    dimension share its span equations, and facet inequalities are
+    canonical modulo those.  Any other facet of a single piece witnesses a
+    hole.
     """
     if not pieces:
         raise TropicalGeometryError("carrier does not cover cycle")
@@ -915,17 +947,15 @@ def check_cover(sigma, pieces):
         return
     census = {}
     for p in pieces:
-        for child, _ in p.facet_cells():
-            census[child] = census.get(child, 0) + 1
-    boundary = None
-    for child, count in census.items():
-        if count == 2:
+        for child, form in p.facet_cells():
+            census.setdefault(child, []).append(form)
+    boundary = set(sigma.hom_facets)
+    for forms in census.values():
+        if len(forms) == 2:
             continue
-        if count > 2:
+        if len(forms) > 2:
             raise VerificationError("refinement pieces overlap")
-        if boundary is None:
-            boundary = [fc for fc, _ in sigma.facet_cells()]
-        if not any(fc.contains_cell(child) for fc in boundary):
+        if forms[0] not in boundary:
             raise TropicalGeometryError("carrier does not cover cycle")
 
 

@@ -6,6 +6,7 @@ description pass produces, and intersections must agree pointwise.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,14 +14,19 @@ import pytest
 
 from tropint.exactmath import vec_dot
 from tropint.polyhedra import (
+    _BUILD_MEMO,
     Complex,
     TropicalGeometryError,
+    VerificationError,
     ZeroCycleSummary,
+    _hyperplane_key,
     _missed_sides,
     add_cycles,
+    check_cover,
     common_refinement,
     cone_from_generators,
     cross,
+    cross_cells,
     cut_cell_by_hom_forms,
     cycles_equal,
     degree,
@@ -313,6 +319,20 @@ def test_cycles_equal_across_subdivisions():
     assert not cycles_equal(one, empty_cycle(1))
 
 
+def cross_by_make_cell(a, b):
+    """The product cell from the concatenated generators."""
+    n = a.ambient_dim + b.ambient_dim
+    if a.is_empty or b.is_empty:
+        return make_cell(n)
+    za, zb = (0,) * a.ambient_dim, (0,) * b.ambient_dim
+    return make_cell(
+        n,
+        [va + vb for va in a.vertices for vb in b.vertices],
+        [r + zb for r in a.rays] + [za + r for r in b.rays],
+        [l + zb for l in a.lineality] + [za + l for l in b.lineality],
+    )
+
+
 def test_cross_product_cycle():
     seg = make_cycle(1, 1, [(make_cell(1, vertices=[(0,), (1,)]), 2)])
     sq = cross(seg, seg)
@@ -321,6 +341,25 @@ def test_cross_product_cycle():
     cell, w = sq.cells[0]
     assert w == 4
     assert cell == make_cell(2, vertices=[(0, 0), (1, 0), (0, 1), (1, 1)])
+    # cross_cells builds from homogeneous generators: the very cell, under
+    # the same build memo key, that make_cell builds from the concatenated
+    # vertices, rays and lineality
+    rng = random.Random(31)
+    cells = [random_cell(rng, rng.choice((1, 2))) for _ in range(30)]
+    cells += [
+        make_cell(1),
+        make_cell(2),
+        make_cell(2, vertices=[(F(1, 3), F(-2, 5))], rays=[(1, 2)], lineality=[(1, -1)]),
+        make_cell(1, vertices=[(F(-7, 4),), (F(5, 6),)]),
+    ]
+    for a in cells:
+        for b in rng.sample(cells, 3) + [make_cell(2)]:
+            got = cross_cells(a, b)
+            memo_size = len(_BUILD_MEMO)
+            assert got is cross_by_make_cell(a, b)
+            assert len(_BUILD_MEMO) == memo_size
+            assert got.is_empty == (a.is_empty or b.is_empty)
+            assert got.is_empty or got.dim == a.dim + b.dim
 
 
 def test_star_and_hidden_lineality():
@@ -414,6 +453,18 @@ def test_common_refinement_and_cover():
     for _ in range(30):
         carrier = Complex(2, [random_cell(rng, 2) for _ in range(5)])
         forms, needs = carrier._side_needs()
+        # each sparse form, expanded, is one distinct carrier hyperplane
+        expanded = []
+        for form in forms:
+            dense = [0, 0, 0]
+            for i, v in form:
+                assert v
+                dense[i] = v
+            expanded.append(tuple(dense))
+        assert len(set(expanded)) == len(forms)
+        assert set(expanded) == {
+            _hyperplane_key(f) for c in carrier.maximal for f in c.hom_facets + c.hom_eqs
+        }
         for _ in range(4):
             sigma = random_cell(rng, 2)
             if sigma.is_empty:
@@ -427,6 +478,90 @@ def test_common_refinement_and_cover():
                     assert not meets
                 full += meets
     assert skipped and full
+
+
+def containment_cover_check(sigma, pieces):
+    """The cover check that scans facet cells: a facet met by a single
+    piece must lie in a facet cell of sigma."""
+    if not pieces:
+        raise TropicalGeometryError("carrier does not cover cycle")
+    if len(pieces) == 1 and pieces[0] == sigma:
+        return
+    census = {}
+    for p in pieces:
+        for child, _ in p.facet_cells():
+            census[child] = census.get(child, 0) + 1
+    boundary = [fc for fc, _ in sigma.facet_cells()]
+    for child, count in census.items():
+        if count == 2:
+            continue
+        if count > 2:
+            raise VerificationError("refinement pieces overlap")
+        if not any(fc.contains_cell(child) for fc in boundary):
+            raise TropicalGeometryError("carrier does not cover cycle")
+
+
+def cover_verdict(check, sigma, pieces):
+    try:
+        check(sigma, pieces)
+    except (TropicalGeometryError, VerificationError) as exc:
+        return type(exc)
+    return None
+
+
+def test_check_cover_matches_containment_oracle():
+    """check_cover tells boundary facets by their facet forms; the facet-cell
+    containment scan gives the same verdict on tilings, holes and overlaps."""
+    rng = random.Random(2718)
+    cells = [random_cell(rng, 2) for _ in range(40)]
+    cells += [random_cell(rng, 3) for _ in range(20)]
+    # 2-cells of R^3 (nonempty equations), Fraction vertices, lineality
+    cells += [
+        make_cell(3, vertices=[(0, 0, F(1, 2)), (2, 0, F(5, 2)), (0, 3, F(1, 2))]),
+        make_cell(3, vertices=[(F(1, 3), 0, 0)], rays=[(1, 1, 0)], lineality=[(0, 0, 1)]),
+        make_cell(3, vertices=[(0, 0, 0), (1, 2, 3)], lineality=[(1, -1, 0)]),
+        make_cell(2, vertices=[(F(-1, 2), 0), (F(3, 2), 1)], lineality=[(1, 1)]),
+    ]
+    seen = {"tilings": 0, "holes": 0, "overlaps": 0, "dims": set()}
+    for sigma in cells:
+        if sigma.is_empty or sigma.dim < 1:
+            continue
+        n = sigma.ambient_dim
+        tiles = {sigma}
+        # one cut in R^3: the double description keeps redundant generators,
+        # so building a 3-cell cut twice or more can take seconds
+        for _ in range(rng.randint(1, 3) if n == 2 else 1):
+            a = tuple(rng.randint(-2, 2) for _ in range(n))
+            if not any(a):
+                continue
+            b = -math.floor(vec_dot(a, sigma.relint_point())) + rng.randint(-1, 1)
+            h = a + (b,)
+            tiles = {
+                q
+                for t in tiles
+                for q in (
+                    cut_cell_by_hom_forms(t, [h]),
+                    cut_cell_by_hom_forms(t, [tuple(-v for v in h)]),
+                )
+                if not q.is_empty and q.dim == sigma.dim
+            }
+        tiles = sorted(tiles, key=lambda c: c.key())
+        seen["tilings"] += len(tiles) > 1
+        seen["dims"].add((n, sigma.dim, bool(sigma.hom_eqs)))
+        assert cover_verdict(check_cover, sigma, tiles) is None
+        assert cover_verdict(containment_cover_check, sigma, tiles) is None
+        for i in range(len(tiles)):
+            hole = tiles[:i] + tiles[i + 1 :]
+            overlap = tiles[: i + 1] + tiles[i:]
+            for pieces, kind in ((hole, "holes"), (overlap, "overlaps")):
+                got = cover_verdict(check_cover, sigma, pieces)
+                assert got is cover_verdict(containment_cover_check, sigma, pieces)
+                if len(tiles) > 1:
+                    want = TropicalGeometryError if kind == "holes" else VerificationError
+                    assert got is want
+                    seen[kind] += 1
+    assert seen["tilings"] >= 40 and seen["holes"] and seen["overlaps"]
+    assert {(2, 2, False), (3, 2, True), (3, 3, False)} <= seen["dims"]
 
 
 def test_complex_validation():
