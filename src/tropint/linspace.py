@@ -14,8 +14,11 @@ function combinations applied to [L^n_m x L^n_m].  Every diagonal
 representation, stars included, is verified exactly on the fan F^n_n:
 [L^n_m x L^n_m] refined along F^n_n is the weight-one subfan F^n_m, every
 factor is a ray function on F^n_n, and F^n_n is unimodular, so the
-divisors are computed on symbol sets with integers alone.  The star at a
-cell tau = cone{-e_i : i in I} is the star of that subfan at the cone
+divisors are computed with integers alone, on cones given as bitmasks of
+their symbols.  The tuples are applied as a factor tree: shared prefixes
+are divided once, and the last factors of sibling tuples are merged by
+linearity into one combination.  The star at a cell
+tau = cone{-e_i : i in I} is the star of that subfan at the cone
 {D_i : i in I}, since divisors commute with taking stars.  Applying the
 PL functions geometrically, as intersection contexts do
 (`AmbientContext.verify`), is the test oracle for this check.
@@ -23,8 +26,9 @@ PL functions geometrically, as intersection contexts do
 
 from itertools import combinations
 from math import comb
+from operator import mul
 
-from .exactmath import solve_integer
+from .exactmath import hnf
 from .functions import CartierExpression, PLFunction, ray_function
 from .polyhedra import (
     Complex,
@@ -143,28 +147,36 @@ def build_lnk(n, k):
     return out
 
 
+def _symbols(n):
+    """The symbols T_0..T_n, B_0..B_n, D_0..D_n; a symbol's position in
+    this list is its bit in a cone mask."""
+    return [(kind, i) for kind in ("T", "B", "D") for i in range(n + 1)]
+
+
 def _symbol_cones(n, k):
-    """The maximal cones of F^n_k, as sets of symbols.
+    """The maximal cones of F^n_k, as bitmasks over `_symbols(n)`.
 
     Each pair of k-subsets I, J of {0, ..., n} gives the cone on
     {T_i : i in I} and {B_j : j in J}; cones containing both T_i and B_i
     for some i are recursively split along D_i.
     """
+    m = n + 1
+    low = (1 << m) - 1
     final = set()
-    for isub in combinations(range(n + 1), k):
-        for jsub in combinations(range(n + 1), k):
-            stack = [frozenset({("T", i) for i in isub} | {("B", j) for j in jsub})]
+    for isub in combinations(range(m), k):
+        ts = sum(1 << i for i in isub)
+        for jsub in combinations(range(m), k):
+            stack = [ts | sum(1 << (m + j) for j in jsub)]
             while stack:
                 s = stack.pop()
-                pair = next(
-                    (i for i in range(n + 1) if ("T", i) in s and ("B", i) in s),
-                    None,
-                )
-                if pair is None:
+                pairs = s & (s >> m) & low
+                if not pairs:
                     final.add(s)
                 else:
-                    stack.append(s - {("T", pair)} | {("D", pair)})
-                    stack.append(s - {("B", pair)} | {("D", pair)})
+                    t = pairs & -pairs  # T_i for the lowest such i
+                    d = t << 2 * m
+                    stack.append(s ^ t | d)
+                    stack.append(s ^ t << m | d)
     return final
 
 
@@ -178,9 +190,12 @@ def build_fnk(n, k):
     got = _FNK_CACHE.get((n, k))
     if got is not None:
         return got
+    rays = [symbol_ray(n, sym) for sym in _symbols(n)]
     cones = [
-        cone_from_generators(2 * n, [symbol_ray(n, sym) for sym in s])
-        for s in _symbol_cones(n, k)
+        cone_from_generators(
+            2 * n, [r for j, r in enumerate(rays) if mask >> j & 1]
+        )
+        for mask in _symbol_cones(n, k)
     ]
     out = Complex(2 * n, cones)
     _FNK_CACHE[(n, k)] = out
@@ -247,73 +262,185 @@ def _symbol_expression(n, tuples, point=None):
 
 
 class _SymbolFan:
-    """Divisors of symbol combinations on weighted subfans of F^n_n.
+    """Divisors of ray functions on weighted subfans of F^n_n, with integers.
 
-    A subfan maps symbol sets, each a cone of F^n_n, to integer weights.
-    F^n_n is unimodular, so the lattice normal of sigma over its facet
-    tau = sigma - {s} is the ray of s, and the divisor of phi gives tau
-    the weight
+    Ray j is the symbol `symbols[j]` (T_0..T_n, B_0..B_n, D_0..D_n), a cone
+    is the int bitmask of its rays, and a weighted subfan maps cones to
+    integer weights.  A ray function is given by its list of values on the
+    rays.  F^n_n is unimodular, so the lattice normal of sigma over its
+    facet tau = sigma ^ (1 << s) is the ray of s, and the divisor of phi
+    gives tau the weight
 
         sum_sigma w_sigma phi(s) - sum_rho a_rho phi(rho),
 
     where sum_sigma w_sigma r_s = sum_rho a_rho r_rho over the rays rho of
-    tau.  On the star of a subfan at a cone, whose span is then lineality,
-    only the facets containing that cone count.  The expansions are
-    remembered for the lifetime of the instance.
+    tau.  That weight is linear in phi, so `faces` turns a subfan into one
+    integer form on the ray values per face, and `divisor` evaluates the
+    forms for any phi.  The normal sum is expanded in the basis of a
+    maximal cone of F^n_n containing tau (its host): the rays are expanded
+    there once per host, from one unimodular integer inverse, and the
+    expansions are added; a sum with a coordinate outside tau means the
+    subfan is not balanced.  The expansions are kept, sparse, for the
+    lifetime of the instance.  On the star of a subfan at a cone, whose
+    span is then lineality, only the facets containing that cone count.
     """
 
-    __slots__ = ("n", "rays", "_coords")
+    __slots__ = ("n", "symbols", "index", "rays", "_bases")
 
     def __init__(self, n):
         self.n = n
-        self.rays = {
-            (kind, i): symbol_ray(n, (kind, i))
-            for kind in ("T", "B", "D")
-            for i in range(n + 1)
-        }
-        self._coords = {}
+        self.symbols = _symbols(n)
+        self.index = {sym: j for j, sym in enumerate(self.symbols)}
+        self.rays = [symbol_ray(n, sym) for sym in self.symbols]
+        self._bases = {}
 
-    def _expand(self, names, total):
-        """Integer coordinates of total in the rays named, or None."""
-        key = (names, total)
-        if key not in self._coords:
-            if names:
-                rows = tuple(zip(*(self.rays[r] for r in names)))
-                got = solve_integer(rows, total)
-            else:
-                got = None if any(total) else ()
-            self._coords[key] = got
-        return self._coords[key]
+    def mask(self, symbols):
+        """The cone on the rays of some symbols."""
+        return sum(1 << self.index[sym] for sym in set(symbols))
 
-    def divisor(self, combo, cones, fixed=frozenset()):
-        """The divisor of the ray function with values `combo` on `cones`,
-        taken on the star at the cone `fixed` that every cone contains.
+    def values(self, combo):
+        """The values on the rays of the ray function of a combination."""
+        out = [0] * len(self.symbols)
+        for sym, c in combo.items():
+            if sym not in self.index:
+                raise TropicalGeometryError(
+                    "unknown symbol %r for n = %d" % (sym, self.n)
+                )
+            out[self.index[sym]] += c
+        return out
 
+    def _basis(self, tau):
+        """Every ray expanded in the basis of the host of the cone tau, as
+        (ray, coefficient) pairs.
+
+        The host is the cone of F^n_n for the n-subsets I' = {0..n} - {x}
+        and J' = {0..n} - {y}, where x (y) is the least index at which tau
+        has no T (B) ray and no D ray; at each i in both subsets it has
+        B_i and D_i if tau has B_i, else T_i and D_i.
+        """
+        m = self.n + 1
+        low = (1 << m) - 1
+        ts, bs, ds = tau & low, tau >> m & low, tau >> 2 * m
+        x = ~(ts | ds) & low
+        x &= -x
+        y = ~(bs | ds) & low
+        y &= -y
+        both = low & ~x & ~y
+        host = both << 2 * m | (both & bs) << m | both & ~bs
+        if x != y:
+            host |= y | x << m
+        if not (x and y) or host & tau != tau:
+            raise TropicalGeometryError("not a cone of F^%d_%d" % (self.n, self.n))
+        got = self._bases.get(host)
+        if got is None:
+            js = [j for j in range(3 * m) if host >> j & 1]
+            _, u = hnf([self.rays[j] for j in js])
+            cols = list(zip(*u))
+            got = [
+                tuple(
+                    (j, a)
+                    for j, a in zip(js, [sum(map(mul, col, r)) for col in cols])
+                    if a
+                )
+                for r in self.rays
+            ]
+            self._bases[host] = got
+        return got
+
+    def faces(self, cones, fixed=0):
+        """The faces tau of a weighted subfan with their divisor forms.
+
+        Returns (tau, rays, coefficients) triples: the weight of tau in the
+        divisor of phi is the sum of coefficient * phi(ray).  Only facets
+        containing the cone `fixed`, which every cone contains, count.
         Raises VerificationError when the subfan is not balanced.
         """
-        around = {}
+        around = {}  # tau -> (s, w_sigma, s', w_sigma', ...), flat
         for sigma, w in cones.items():
-            for s in sigma - fixed:
-                around.setdefault(sigma - {s}, []).append((s, w))
-        out = {}
+            free = sigma & ~fixed
+            while free:
+                bit = free & -free
+                free ^= bit
+                tau = sigma ^ bit
+                around[tau] = around.get(tau, ()) + (bit.bit_length() - 1, w)
+        out = []
         for tau, normals in around.items():
-            total = [0] * (2 * self.n)
-            weight = 0
-            for s, w in normals:
-                weight += w * combo.get(s, 0)
-                for i, x in enumerate(self.rays[s]):
-                    total[i] += w * x
-            names = tuple(sorted(tau))
-            coords = self._expand(names, tuple(total))
-            if coords is None:
-                raise VerificationError(
-                    "weighted subfan of F^%d_%d is not balanced around {%s}"
-                    % (self.n, self.n, ", ".join(map(symbol_name, names)))
-                )
-            weight -= sum(a * combo.get(r, 0) for a, r in zip(coords, names))
-            if weight:
-                out[tau] = weight
+            rhos, coeffs = normals[::2], normals[1::2]
+            basis = self._basis(tau)
+            total = {}
+            for s, w in zip(rhos, coeffs):
+                for j, a in basis[s]:
+                    total[j] = total.get(j, 0) + w * a
+            rhos, coeffs = list(rhos), list(coeffs)
+            for j, a in total.items():
+                if a:
+                    if not tau >> j & 1:
+                        names = sorted(
+                            sym for i, sym in enumerate(self.symbols) if tau >> i & 1
+                        )
+                        raise VerificationError(
+                            "weighted subfan of F^%d_%d is not balanced around {%s}"
+                            % (self.n, self.n, ", ".join(map(symbol_name, names)))
+                        )
+                    rhos.append(j)
+                    coeffs.append(-a)
+            out.append((tau, tuple(rhos), tuple(coeffs)))
         return out
+
+    @staticmethod
+    def divisor(faces, values):
+        """The weighted subfan that `faces` gives the function `values`."""
+        at = values.__getitem__
+        out = {}
+        for tau, rays, coeffs in faces:
+            w = sum(map(mul, coeffs, map(at, rays)))
+            if w:
+                out[tau] = w
+        return out
+
+    def apply(self, tuples, cones, fixed=0):
+        """The weighted subfan sum alpha phi_1 ... phi_m . cones over the
+        tuples (alpha, (phi_1, ..., phi_m)) of symbol combinations.
+
+        The tuples are evaluated as a factor tree: tuples sharing a prefix
+        share its divisors, each distinct subfan's faces are computed once
+        for all of its children, and the last factors of sibling tuples are
+        merged by linearity into sum alpha phi_m, which takes one divisor
+        (even when it is zero, so an unbalanced subfan is never skipped).
+        """
+        got = {}
+
+        def add(subfan, alpha):
+            for tau, w in subfan.items():
+                got[tau] = got.get(tau, 0) + alpha * w
+
+        def walk(cones, terms, depth):
+            last = None
+            groups = {}
+            for alpha, combos in terms:
+                if len(combos) == depth:
+                    add(cones, alpha)
+                    continue
+                values = self.values(combos[depth])
+                if len(combos) == depth + 1:
+                    if last is None:
+                        last = [0] * len(values)
+                    for j, x in enumerate(values):
+                        last[j] += alpha * x
+                else:
+                    groups.setdefault(tuple(values), []).append((alpha, combos))
+            if last is None and not groups:
+                return
+            faces = self.faces(cones, fixed)
+            if last is not None:
+                add(self.divisor(faces, last), 1)
+            for values, group in groups.items():
+                child = self.divisor(faces, values)
+                if child:
+                    walk(child, group, depth + 1)
+
+        walk(cones, tuples, 0)
+        return {tau: w for tau, w in got.items() if w}
 
 
 def _fan_identity(n, c, tuples, complete, fixed=frozenset()):
@@ -324,29 +451,22 @@ def _fan_identity(n, c, tuples, complete, fixed=frozenset()):
     The base [L^n_c x L^n_c] refined along F^n_n is F^n_c with weight one;
     the complete base [R^n x R^n] is F^n_n.  The diagonal is the subfan on
     the cones {D_i : i in S}, |S| = c, with weight one.  Their stars keep
-    the cones containing `fixed`.
+    the cones containing `fixed`.  The tuples are applied as a factor tree
+    (`_SymbolFan.apply`).
     """
     fan = _SymbolFan(n)
+    fixed = fan.mask(fixed)
     base = {
         sigma: 1
         for sigma in _symbol_cones(n, n if complete else c)
-        if fixed <= sigma
+        if sigma & fixed == fixed
     }
-    got = {}
-    for alpha, combos in tuples:
-        cur = base
-        for combo in combos:
-            cur = fan.divisor(combo, cur, fixed)
-            if not cur:
-                break
-        for cone, w in cur.items():
-            got[cone] = got.get(cone, 0) + alpha * w
     diagonal = (
-        frozenset(("D", i) for i in subset)
+        fan.mask(("D", i) for i in subset)
         for subset in combinations(range(n + 1), c)
     )
-    want = {cone: 1 for cone in diagonal if fixed <= cone}
-    return {cone: w for cone, w in got.items() if w} == want
+    want = {cone: 1 for cone in diagonal if cone & fixed == fixed}
+    return fan.apply(tuples, base, fixed) == want
 
 
 class DiagonalRepresentation:

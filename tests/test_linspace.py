@@ -7,7 +7,9 @@ from tropint.functions import UnbalancedCycleError, divisor
 from tropint.intersect import AmbientContext
 from tropint.linspace import (
     _SymbolFan,
+    _fan_identity,
     _symbol_cones,
+    _symbols,
     build_fnk,
     build_lnk,
     combination_name,
@@ -115,18 +117,53 @@ def test_diagonal_is_subfan():
                 assert dcone in closure
 
 
+def _cone_symbols(n, cone):
+    """The symbols of the rays of a cone mask."""
+    return [sym for j, sym in enumerate(_symbols(n)) if cone >> j & 1]
+
+
 def _subfan_cycle(n, cones):
-    """The cycle of a weighted subfan of F^n_n given by symbol sets."""
+    """The cycle of a weighted subfan of F^n_n given by cone masks."""
     if not cones:
         return empty_cycle(2 * n)
     return make_cycle(
         2 * n,
-        len(next(iter(cones))),
+        next(iter(cones)).bit_count(),
         [
-            (cone_from_generators(2 * n, [symbol_ray(n, s) for s in sigma]), w)
+            (
+                cone_from_generators(
+                    2 * n, [symbol_ray(n, s) for s in _cone_symbols(n, sigma)]
+                ),
+                w,
+            )
             for sigma, w in cones.items()
         ],
     )
+
+
+def _fan_divisor(fan, combo, cones, fixed=0):
+    """The divisor of a symbol combination on a weighted subfan."""
+    return fan.divisor(fan.faces(cones, fixed), fan.values(combo))
+
+
+def _flat_apply(fan, tuples, cones, fixed=0):
+    """The tuples applied term by term, each divisor chain from scratch:
+    the reference for the factor tree of `_SymbolFan.apply`."""
+    got = {}
+    for alpha, combos in tuples:
+        cur = cones
+        for combo in combos:
+            cur = _fan_divisor(fan, combo, cur, fixed)
+            if not cur:
+                break
+        for cone, w in cur.items():
+            got[cone] = got.get(cone, 0) + alpha * w
+    return {cone: w for cone, w in got.items() if w}
+
+
+def _cells_containing(cycle, rays):
+    """The cells of a fan cycle having every one of `rays` as a ray."""
+    return {cell: w for cell, w in cycle.cells if set(rays) <= set(cell.rays)}
 
 
 def test_space_base_refines_to_symbol_cones():
@@ -149,12 +186,41 @@ def test_fan_divisor_matches_geometric_divisor():
             cones = dict.fromkeys(_symbol_cones(n, c), 1)
             for _ in range(2):
                 combo = {
-                    sym: rng.randint(-2, 2) for sym in rng.sample(sorted(fan.rays), 3)
+                    sym: rng.randint(-2, 2) for sym in rng.sample(sorted(fan.symbols), 3)
                 }
                 x = _subfan_cycle(n, cones)
-                cones = fan.divisor(combo, cones)
+                cones = _fan_divisor(fan, combo, cones)
                 want = divisor(symbol_function(n, combo), x)
                 assert _subfan_cycle(n, cones) == want, (n, c, combo)
+                if not cones:
+                    break
+
+
+def test_fan_divisor_at_stars_matches_geometric_divisor():
+    # on the star at a fixed cone F the divisor keeps the faces containing F
+    # of the divisor on the whole subfan
+    rng = random.Random(1953)
+    for n, c in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]:
+        fan = _SymbolFan(n)
+        for _ in range(3):
+            fixed_syms = [("D", i) for i in rng.sample(range(n + 1), rng.randint(1, c))]
+            fixed = fan.mask(fixed_syms)
+            fixed_rays = [symbol_ray(n, sym) for sym in fixed_syms]
+            cones = dict.fromkeys(_symbol_cones(n, c), 1)
+            for _ in range(2):
+                combo = {
+                    sym: rng.randint(-2, 2)
+                    for sym in rng.sample(sorted(fan.symbols), 3)
+                }
+                x = _subfan_cycle(n, cones)
+                local = {s: w for s, w in cones.items() if s & fixed == fixed}
+                got = _fan_divisor(fan, combo, local, fixed)
+                cones = _fan_divisor(fan, combo, cones)
+                want = divisor(symbol_function(n, combo), x)
+                assert dict(_subfan_cycle(n, got).cells) == _cells_containing(
+                    want, fixed_rays
+                ), (n, c, fixed_syms, combo)
+                assert all(s & fixed == fixed for s in got)
                 if not cones:
                     break
 
@@ -163,14 +229,100 @@ def test_fan_divisor_rejects_unbalanced_subfans():
     fan = _SymbolFan(2)
     combo = {("T", 1): 1, ("D", 0): -1}
     cones = dict.fromkeys(_symbol_cones(2, 2), 1)
-    lone = min(cones, key=sorted)
+    lone = min(cones, key=lambda sigma: sorted(_cone_symbols(2, sigma)))
     with pytest.raises(VerificationError):
-        fan.divisor(combo, {lone: 1})
+        _fan_divisor(fan, combo, {lone: 1})
     with pytest.raises(UnbalancedCycleError):
         divisor(symbol_function(2, combo), _subfan_cycle(2, {lone: 1}))
     cones[lone] = 2
     with pytest.raises(VerificationError):
-        fan.divisor(combo, cones)
+        _fan_divisor(fan, combo, cones)
+
+    # at a star: a lone cone is unbalanced around each of its rays, and a
+    # doubled weight is seen at every ray of the doubled cone
+    for sym in _cone_symbols(2, lone):
+        fixed = fan.mask([sym])
+        with pytest.raises(VerificationError):
+            _fan_divisor(fan, combo, {lone: 1}, fixed)
+        local = {s: w for s, w in cones.items() if s & fixed == fixed}
+        with pytest.raises(VerificationError):
+            _fan_divisor(fan, combo, local, fixed)
+    # the whole cone fixed: no facet counts, and the star is a point
+    assert _fan_divisor(fan, combo, {lone: 1}, lone) == {}
+    # a facet holding both T_1 and B_1 is no cone of F^2_2 and has no host
+    with pytest.raises(TropicalGeometryError):
+        fan.faces({fan.mask([("T", 0), ("T", 1), ("B", 1)]): 1})
+
+
+def _random_tuples(rng, fan, depth):
+    """Seeded tuples with shared prefixes, repeated combinations, a
+    zero-length tuple and sibling terms whose last factors cancel."""
+    pool = [
+        {sym: rng.randint(-2, 2) for sym in rng.sample(fan.symbols, rng.randint(1, 3))}
+        for _ in range(4)
+    ]
+
+    def draw(count):
+        return tuple(rng.choice(pool) for _ in range(count))
+
+    prefixes = [draw(rng.randint(0, depth - 1)) for _ in range(3)]
+    tuples = [(rng.randint(-3, 3) or 1, ())]
+    for _ in range(10):
+        prefix = rng.choice(prefixes)
+        rest = draw(rng.randint(0, depth - len(prefix)))
+        tuples.append((rng.randint(-3, 3) or 1, prefix + rest))
+    last = prefixes[0] + (pool[0],)
+    tuples += [(2, last), (-1, last), (-1, last)]
+    tuples.append((1, (pool[1], pool[1])[:depth]))
+    rng.shuffle(tuples)
+    return tuple(tuples)
+
+
+def test_factor_tree_matches_term_by_term():
+    rng = random.Random(904)
+    for n in (1, 2, 3):
+        fan = _SymbolFan(n)
+        for c in range(1, n + 1):
+            for complete in (False, True):
+                cones = _symbol_cones(n, n if complete else c)
+                for fixed_syms in ([], [("D", rng.randrange(n + 1))]):
+                    fixed = fan.mask(fixed_syms)
+                    base = {s: 1 for s in cones if s & fixed == fixed}
+                    for _ in range(3):
+                        tuples = _random_tuples(rng, fan, c + complete)
+                        got = fan.apply(tuples, base, fixed)
+                        assert got == _flat_apply(fan, tuples, base, fixed), (
+                            n, c, complete, fixed_syms, tuples,
+                        )
+    # the rewrite tuples on their base, whole and at stars
+    for n, k in [(2, 0), (3, 0), (3, 1), (4, 1), (4, 2)]:
+        fan = _SymbolFan(n)
+        tuples = rewrite_diagonal(n, k).tuples
+        for fixed_syms in ([], [("D", 0)], [("D", 1), ("D", 2)]):
+            fixed = fan.mask(fixed_syms)
+            base = {s: 1 for s in _symbol_cones(n, n - k) if s & fixed == fixed}
+            got = fan.apply(tuples, base, fixed)
+            assert got == _flat_apply(fan, tuples, base, fixed), (n, k, fixed_syms)
+            assert _fan_identity(n, n - k, tuples, False, fixed_syms)
+
+
+def test_factor_tree_merged_zero_leaf_still_checks_balance():
+    fan = _SymbolFan(2)
+    combo = {("T", 1): 1, ("D", 0): -1}
+    lone = min(_symbol_cones(2, 2), key=lambda sigma: sorted(_cone_symbols(2, sigma)))
+    # 2 phi - phi - phi = 0, and the lone cone is unbalanced
+    tuples = ((2, (combo,)), (-1, (combo,)), (-1, (combo,)))
+    with pytest.raises(VerificationError):
+        fan.apply(tuples, {lone: 1})
+    with pytest.raises(VerificationError):
+        _flat_apply(fan, tuples, {lone: 1})
+    # after a shared prefix, on a balanced base: nothing, and no error
+    base = dict.fromkeys(_symbol_cones(2, 2), 1)
+    ad = {("T", 0): 1, ("D", 0): 1}
+    tuples = ((1, (ad, combo)), (-1, (ad, combo)))
+    assert fan.apply(tuples, base) == {} == _flat_apply(fan, tuples, base)
+    # the zero-length tuple alone is the base itself, never divided
+    assert fan.apply(((3, ()),), {lone: 1}) == {lone: 3}
 
 
 def test_diagonal_divisor_product_small():
@@ -319,11 +471,30 @@ def test_rewrite_verification_is_hard_error():
             failed += not holds
     assert failed > 0
 
+    # a symbol beyond n is no ray of F^n_n
+    with pytest.raises(TropicalGeometryError):
+        DiagonalRepresentation(2, 1, ((1, ({("T", 3): 1},)),)).verify()
+
     # a representation only stands for the bases [L x L] and [R^n x R^n]
     with pytest.raises(TropicalGeometryError):
         DiagonalRepresentation(
             3, 2, r31.tuples, base=cross(build_lnk(3, 1), rn_cycle(3))
         )
+
+
+def test_fan_check_rejects_every_mutation():
+    # on the fan alone: every flipped coefficient and every dropped term of
+    # the (4, 2) and (4, 1) rewrites breaks the identity
+    for k in (2, 1):
+        tuples = rewrite_diagonal(4, k).tuples
+        count = 0
+        for bad_tuples in _mutations(tuples):
+            bad = DiagonalRepresentation(4, 4 - k, bad_tuples)
+            with pytest.raises(VerificationError):
+                bad.verify()
+            assert not bad.verified
+            count += 1
+        assert count == 2 * len(tuples)
 
 
 def test_relations_examples():
