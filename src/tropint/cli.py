@@ -135,9 +135,7 @@ def ambient_context(text):
             raise formats.FormatError(
                 "bad ambient %r: product takes exactly two factors" % t
             )
-        return product_context(
-            ambient_context(parts[0]), ambient_context(parts[1]), verify=False
-        )
+        return product_context(ambient_context(parts[0]), ambient_context(parts[1]))
     raise formats.FormatError(
         "unknown ambient %r (use lnk:n,k, rn:n, or product:A;B)" % text
     )

@@ -306,8 +306,8 @@ def diagonal_from_doc(doc, where="diagonal"):
     if base_tag == "complete":
         base = cross(rn_cycle(n), rn_cycle(n))
     rep = DiagonalRepresentation(n, space_dim, tuple(tuples), base=base)
-    # The flag records the emitting process's check; verify() re-derives it.
-    rep.verified = _bool_field(doc, "verified", where)
+    if _bool_field(doc, "verified", where):
+        rep.verify()
     return rep
 
 

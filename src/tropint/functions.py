@@ -251,7 +251,7 @@ def pullback_function(matrix, translation, phi, source=None):
     return PLFunction(cells, forms)
 
 
-def divisor(phi, x, validate_cover=True):
+def divisor(phi, x):
     """The divisor cycle phi . x supported on the codimension-one cells.
 
     The cycle is refined along the carrier of phi; each codimension-one

@@ -3,17 +3,21 @@
 The product of two cycles inside an ambient linear space (or star, or
 product of such) is computed by crossing them, applying a verified
 diagonal representation, and pushing forward along the first projection.
-An AmbientContext bundles the ambient cycle with its representation;
-product contexts pull the factor representations back along the
-coordinate projections.
+An AmbientContext bundles the ambient cycle with its representation.
+Linear spaces and stars take the fan check of their representation.
+Product contexts pull the factor representations back along the
+coordinate projections and are verified by their factors, through the
+product formula pi^*phi . (A x B) = (phi . A) x B (Allermann-Rau); any
+other context is checked geometrically when intersect_cycles first uses it.
 """
 
 from .exactmath import _unit_rows
 from .functions import CartierExpression, pullback_function
-from .linspace import build_lnk, rewrite_diagonal, star_diagonal
+from .linspace import rewrite_diagonal, star_diagonal
 from .polyhedra import (
     TropicalGeometryError,
     VerificationError,
+    _module_cache,
     cross,
     cycles_equal,
     diagonal_cycle,
@@ -23,7 +27,7 @@ from .polyhedra import (
     vec_dot,
 )
 
-_CONTEXT_CACHE = {}
+_CONTEXT_CACHE = _module_cache()
 
 
 class Morphism:
@@ -98,12 +102,10 @@ def graph(f, x):
 
 
 def _pull_expression(expr, matrix):
-    pulled = []
-    for coeff, factors in expr.terms:
-        pulled.append(
-            (coeff, [pullback_function(matrix, None, phi) for phi in factors])
-        )
-    return CartierExpression(pulled)
+    return CartierExpression(
+        (coeff, [pullback_function(matrix, None, phi) for phi in factors])
+        for coeff, factors in expr.terms
+    )
 
 
 class AmbientContext:
@@ -113,19 +115,19 @@ class AmbientContext:
     to [ambient x ambient] cuts out the diagonal.  Splitting the
     representation into stages keeps products of contexts small: the sum
     over one factor's tuples is collapsed before the next factor's tuples
-    are applied.
+    are applied.  The constructor checks nothing: `verified` is set from the
+    fan check or the product formula (see product_context), or by `verify`,
+    the geometric check run by intersect_cycles and by the CLI's --verify.
     """
 
     __slots__ = ("ambient", "stages", "label", "verified", "_support_ok")
 
-    def __init__(self, ambient, stages, label=None, verify=True):
+    def __init__(self, ambient, stages, label=None):
         self.ambient = ambient
         self.stages = tuple(stages)
         self.label = label
         self.verified = False
         self._support_ok = set()
-        if verify:
-            self.verify()
 
     def verify(self):
         got = self.apply_diagonal(cross(self.ambient, self.ambient))
@@ -152,46 +154,41 @@ class AmbientContext:
         return ok
 
 
-def linear_space_context(n, m):
-    """Context for the linear space L^n_m inside R^n (cached)."""
-    key = ("lnk", n, m)
+def _representation_context(key, build):
     got = _CONTEXT_CACHE.get(key)
     if got is None:
-        rep = rewrite_diagonal(n, n - m)
-        got = AmbientContext(
-            build_lnk(n, m), (rep.expression,), label=key, verify=False
-        )
+        rep = build()
+        got = AmbientContext(rep.space, (rep.expression,), label=key)
         got.verified = rep.verified  # the representation was verified on build
         _CONTEXT_CACHE[key] = got
     return got
 
 
+def linear_space_context(n, m):
+    """Context for the linear space L^n_m inside R^n (cached)."""
+    return _representation_context(("lnk", n, m), lambda: rewrite_diagonal(n, n - m))
+
+
 def star_context(n, m, tau):
     """Context for the star of L^n_m at one of its cells."""
     key = ("star", n, m, tau.key())
-    got = _CONTEXT_CACHE.get(key)
-    if got is None:
-        rep = star_diagonal(n, m, tau)
-        got = AmbientContext(rep.space, (rep.expression,), label=key, verify=False)
-        got.verified = rep.verified
-        _CONTEXT_CACHE[key] = got
-    return got
+    return _representation_context(key, lambda: star_diagonal(n, m, tau))
 
 
-def product_context(cx, cy, verify=True):
+def product_context(cx, cy):
     """Context for the product of two ambient cycles.
 
     Each factor's stages are pulled back along the corresponding pair of
     coordinate projections of (X x Y) x (X x Y); their concatenation
-    represents the diagonal of the product.
+    represents the diagonal of the product: by the product formula
+    pi^*phi . (A x B) = (phi . A) x B they cut out Delta_X x Delta_Y.  So
+    the product is verified when both factors are.
     """
     key = None
     if cx.label is not None and cy.label is not None:
         key = ("product", cx.label, cy.label)
         got = _CONTEXT_CACHE.get(key)
         if got is not None:
-            if verify and not got.verified:
-                got.verify()
             return got
     ax = cx.ambient.ambient_dim
     ay = cy.ambient.ambient_dim
@@ -201,9 +198,8 @@ def product_context(cx, cy, verify=True):
     py = _unit_rows(ay, total, ax) + _unit_rows(ay, total, 2 * ax + ay)
     stages = [ _pull_expression(stage, px) for stage in cx.stages ]
     stages += [ _pull_expression(stage, py) for stage in cy.stages ]
-    out = AmbientContext(
-        cross(cx.ambient, cy.ambient), stages, label=key, verify=verify
-    )
+    out = AmbientContext(cross(cx.ambient, cy.ambient), stages, label=key)
+    out.verified = cx.verified and cy.verified
     if key is not None:
         _CONTEXT_CACHE[key] = out
     return out
@@ -214,7 +210,8 @@ def intersect_cycles(d1, d2, ctx, validate_support=True):
 
     Crosses the cycles, applies the diagonal representation, and pushes
     forward along the first projection.  The result is empty whenever the
-    expected dimension dim d1 + dim d2 - dim ambient is negative.
+    expected dimension dim d1 + dim d2 - dim ambient is negative.  An
+    unverified context is first checked geometrically (VerificationError).
     """
     n = ctx.ambient.ambient_dim
     if d1.is_empty or d2.is_empty:
@@ -226,6 +223,8 @@ def intersect_cycles(d1, d2, ctx, validate_support=True):
     expected = d1.dim + d2.dim - ctx.ambient.dim
     if expected < 0:
         return empty_cycle(n)
+    if not ctx.verified:
+        ctx.verify()
     z = ctx.apply_diagonal(cross(d1, d2))
     out = pushforward_cycle(_unit_rows(n, 2 * n), z, target_dim=n)
     if not out.is_empty and out.dim != expected:
@@ -250,7 +249,7 @@ def pullback_cycle(f, c, ctx_source, ctx_target, validate=True):
             raise TropicalGeometryError("morphism does not map source into target")
         if not c.is_empty and not ctx_target.covers(c):
             raise TropicalGeometryError("cycle support leaves the target space")
-    prod = product_context(ctx_source, ctx_target, verify=False)
+    prod = product_context(ctx_source, ctx_target)
     g = graph(f, x)
     if g.is_empty or c.is_empty:
         return empty_cycle(x.ambient_dim)

@@ -34,6 +34,7 @@ from .polyhedra import (
     Complex,
     TropicalGeometryError,
     VerificationError,
+    _module_cache,
     _space_cell,
     common_refinement,
     cone_from_generators,
@@ -44,9 +45,9 @@ from .polyhedra import (
     star,
 )
 
-_LNK_CACHE = {}
-_FNK_CACHE = {}
-_REWRITE_CACHE = {}
+_LNK_CACHE = _module_cache()
+_FNK_CACHE = _module_cache()
+_REWRITE_CACHE = _module_cache()
 
 
 def neg_e(n, i):

@@ -124,17 +124,24 @@ def _reduce_mod(v, basis):
 # ---------------------------------------------------------------------------
 # cells
 
-_CELL_POOL = {}
-_INTERSECT_MEMO = {}
-_NORMAL_MEMO = {}
-_BUILD_MEMO = {}
+_CACHES = []  # every module cache of tropint
+
+
+def _module_cache():
+    _CACHES.append({})
+    return _CACHES[-1]
+
+
+_CELL_POOL = _module_cache()
+_INTERSECT_MEMO = _module_cache()
+_NORMAL_MEMO = _module_cache()
+_BUILD_MEMO = _module_cache()
 
 
 def clear_caches():
-    _CELL_POOL.clear()
-    _INTERSECT_MEMO.clear()
-    _NORMAL_MEMO.clear()
-    _BUILD_MEMO.clear()
+    """Empty every module cache: cells, memos, spaces and contexts."""
+    for cache in _CACHES:
+        cache.clear()
 
 
 class Cell:
@@ -684,12 +691,6 @@ class TropicalCycle:
         if self._complex is None:
             self._complex = Complex(self.ambient_dim, [c for c, _ in self.cells])
         return self._complex
-
-    def weight_of(self, cell):
-        for c, w in self.cells:
-            if c == cell:
-                return w
-        return 0
 
     def __eq__(self, other):
         if not isinstance(other, TropicalCycle):

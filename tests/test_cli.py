@@ -6,6 +6,7 @@ from tropint import cli
 from tropint.formats import FormatError, parse_document, serialize
 from tropint.functions import divisor, ray_function
 from tropint.intersect import (
+    AmbientContext,
     intersect_cycles,
     linear_space_context,
     product_context,
@@ -20,6 +21,7 @@ from tropint.linspace import (
 )
 from tropint.polyhedra import (
     VerificationError,
+    clear_caches,
     cone_from_generators,
     cross,
     cycles_equal,
@@ -187,6 +189,24 @@ def test_ambient_shorthand():
     for bad in ["foo:1", "lnk:2", "product:rn:1", "product:rn:1;rn:1;rn:1"]:
         with pytest.raises(FormatError):
             cli.ambient_context(bad)
+
+
+def test_product_ambients_are_verified_without_the_geometric_check(
+    tmp_path, capsys, monkeypatch
+):
+    # product ambients are verified by their factors' fan checks; only
+    # --verify runs the geometric check
+    def boom(self):
+        raise VerificationError("geometric check ran")
+
+    clear_caches()
+    monkeypatch.setattr(AmbientContext, "verify", boom)
+    assert cli.ambient_context("product:lnk:2,1;lnk:2,1").verified
+    assert cli.ambient_context("product:lnk:3,2;lnk:2,1").verified
+    a = write(tmp_path / "a.cycle", build_lnk(2, 1))
+    amb = "product:rn:1;rn:1"
+    code, _, err = run(capsys, "intersect", a, a, "--ambient", amb, "--verify")
+    assert code == 2 and "geometric check ran" in err
 
 
 def test_validation_failures_exit_one(tmp_path, capsys):

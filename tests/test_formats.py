@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from tropint.functions import max_poly_function, ray_function
 from tropint.intersect import Morphism, identity_morphism
 from tropint.linspace import build_lnk, fnk_cycle, rewrite_diagonal, rn_cycle
 from tropint.polyhedra import (
+    VerificationError,
     cone_from_generators,
     empty_cycle,
     make_cell,
@@ -84,6 +86,20 @@ def test_diagonal_roundtrip_and_reverify():
     assert back.n == 2 and back.space_dim == 1
     assert back.verified  # recorded flag survives
     back.verify()  # and the reconstruction satisfies the identity
+
+
+def test_parsed_bundle_is_checked_on_the_fan():
+    # a bundle that says it was verified is checked again when parsed
+    doc = json.loads(serialize(rewrite_diagonal(3, 1)))
+    term = doc["terms"][0]
+    term["coefficient"] = str(-int(term["coefficient"]))
+    with pytest.raises(VerificationError):
+        parse_document(canonical_json(doc))
+    doc["verified"] = False
+    back = parse_document(canonical_json(doc))
+    assert not back.verified
+    with pytest.raises(VerificationError):
+        back.verify()
 
 
 def test_canonical_json_is_stable():

@@ -1,6 +1,12 @@
 import pytest
 
-from tropint.functions import divisor, max_poly_function, ray_function
+from tropint import intersect, linspace, polyhedra
+from tropint.functions import (
+    CartierExpression,
+    divisor,
+    max_poly_function,
+    ray_function,
+)
 from tropint.intersect import (
     AmbientContext,
     Morphism,
@@ -15,9 +21,10 @@ from tropint.intersect import (
     pushforward,
     star_context,
 )
-from tropint.linspace import build_lnk, symbol_function
+from tropint.linspace import build_fnk, build_lnk, symbol_function
 from tropint.polyhedra import (
     TropicalGeometryError,
+    VerificationError,
     add_cycles,
     cone_from_generators,
     cross,
@@ -162,8 +169,6 @@ def test_representation_independence():
     # swapping the two factors of the ambient product gives another valid
     # representation; products computed with it agree
     l21 = build_lnk(2, 1)
-    from tropint.functions import CartierExpression
-
     swapped = CartierExpression(
         [
             (
@@ -183,7 +188,8 @@ def test_representation_independence():
             )
         ]
     )
-    alt = AmbientContext(l21, (swapped,), verify=True)
+    alt = AmbientContext(l21, (swapped,))
+    assert alt.verify()
     std = linear_space_context(2, 1)
     for d, e in [(l21, point((2, 2), 3)), (scale_cycle(l21, 2), l21)]:
         assert cycles_equal(
@@ -313,6 +319,67 @@ def test_projection_formula():
     rhs = pushforward(p, intersect_cycles(fc, dprime, prod))
     assert cycles_equal(lhs, rhs)
     assert cycles_equal(lhs, c)
+
+
+def test_product_contexts_are_verified_by_their_factors():
+    # the product formula: a product of verified contexts is verified, and
+    # the geometric identity holds on it
+    r1 = linear_space_context(1, 1)
+    l21 = linear_space_context(2, 1)
+    star = star_context(2, 1, cone_from_generators(2, [(1, 1)]))
+    cases = [(r1, r1), (l21, l21), (l21, r1), (star, r1)]
+    cases.append((product_context(r1, r1), r1))
+    for cx, cy in cases:
+        ctx = product_context(cx, cy)
+        assert ctx.verified, (cx.label, cy.label)
+        assert AmbientContext(ctx.ambient, ctx.stages).verify()
+
+
+def test_unverified_context_is_checked_before_use():
+    # twice the diagonal of R^1: a hand-built factor that is wrong
+    r1 = linear_space_context(1, 1)
+    doubled = CartierExpression((2 * c, f) for c, f in r1.stages[0].terms)
+    wrong = AmbientContext(r1.ambient, (doubled,))
+    prod = product_context(wrong, r1)
+    assert not prod.verified
+    plane = prod.ambient
+    for ctx in (wrong, prod):
+        amb = ctx.ambient
+        with pytest.raises(VerificationError):
+            intersect_cycles(amb, amb, ctx)
+        assert not ctx.verified
+    # a right hand-built context is checked once, then used
+    right = AmbientContext(r1.ambient, r1.stages)
+    c = point((3,), 2)
+    assert cycles_equal(intersect_cycles(c, r1.ambient, right), c)
+    assert right.verified
+    assert cycles_equal(
+        intersect_cycles(plane, plane, product_context(right, r1)), plane
+    )
+
+
+def test_clear_caches_empties_every_module_cache():
+    caches = [
+        polyhedra._CELL_POOL,
+        polyhedra._INTERSECT_MEMO,
+        polyhedra._NORMAL_MEMO,
+        polyhedra._BUILD_MEMO,
+        linspace._LNK_CACHE,
+        linspace._FNK_CACHE,
+        linspace._REWRITE_CACHE,
+        intersect._CONTEXT_CACHE,
+    ]
+    assert sorted(map(id, caches)) == sorted(map(id, polyhedra._CACHES))
+    ctx = linear_space_context(2, 1)
+    build_fnk(2, 1)
+    intersect_cycles(ctx.ambient, point((1, 1)), ctx)
+    assert all(caches)
+    polyhedra.clear_caches()
+    assert not any(caches)
+    again = linear_space_context(2, 1)
+    assert again is not ctx and again.verified
+    got = intersect_cycles(again.ambient, point((1, 1)), again)
+    assert cycles_equal(got, point((1, 1)))
 
 
 def test_star_context_products():

@@ -412,7 +412,7 @@ def _oracle_holds(rep):
     """The geometric identity: the expression applied to [space x space]
     is the diagonal of the space."""
     try:
-        AmbientContext(rep.space, (rep.expression,))
+        AmbientContext(rep.space, (rep.expression,)).verify()
     except VerificationError:
         return False
     return True
@@ -441,7 +441,7 @@ def test_rewrite_verification_is_hard_error():
     base = rewrite_diagonal(1, 0)
     with pytest.raises(VerificationError):
         # wrong degree on purpose: A+D only
-        AmbientContext(base.space, (diagonal_divisors_rn(1, 1),))
+        AmbientContext(base.space, (diagonal_divisors_rn(1, 1),)).verify()
     wrong = DiagonalRepresentation(1, 1, ((1, ({("B", 0): 2},)),))
     with pytest.raises(VerificationError):
         wrong.verify()
