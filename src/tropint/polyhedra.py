@@ -4,9 +4,13 @@ Cells are kept in a canonical V-representation (vertices, primitive rays,
 HNF lineality basis, everything reduced modulo lineality) so that equality
 of cells is structural equality of the underlying sets.  The H-representation
 (facet inequalities and span equations of the homogenization) is derived
-once per cell by an exact double description pass and cached.  Intersections
-and cuts by hyperplanes and halfspaces share one cut of the homogeneous
-generators (equations first, then inequalities).
+once per cell and kept with it.  A cell cut out of inequalities already at
+hand (a face, an intersection, a cut or a product) takes its facets from
+them by incidence: they are the inequalities whose sets of tight generators
+are maximal among the proper ones.  Only a cell from bare generators
+(`make_cell`) runs an exact double description pass on the dual cone.
+Intersections and cuts by hyperplanes and halfspaces share one cut of the
+homogeneous generators (equations first, then inequalities).
 
 Containment of points, directions and cells is one test of homogeneous
 integer vectors against the H-representation; a contained cell is tested
@@ -281,16 +285,10 @@ class Cell:
         if self._facet_cells is None:
             out = []
             for f in self.hom_facets:
-                verts = tuple(
-                    v
-                    for v, g in zip(self.vertices, self.hom_gens())
-                    if vec_dot(f, g) == 0
-                )
-                if not verts:
+                gens = tuple(g for g in self.hom_gens() if vec_dot(f, g) == 0)
+                if not any(g[-1] for g in gens):
                     continue  # face at infinity of the homogenization
-                rays = tuple(r for r in self.rays if vec_dot(f, tuple(r) + (0,)) == 0)
-                child = make_cell(self.ambient_dim, verts, rays, self.lineality)
-                out.append((child, f))
+                out.append((self._face(gens), f))
             self._facet_cells = tuple(out)
         return self._facet_cells
 
@@ -300,17 +298,16 @@ class Cell:
             raise TropicalGeometryError("point not in cell")
         w, _ = clear_denominators(tuple(p) + (1,))
         tight = [f for f in self.hom_facets if vec_dot(f, w) == 0]
-        verts = tuple(
-            v
-            for v, g in zip(self.vertices, self.hom_gens())
-            if all(vec_dot(f, g) == 0 for f in tight)
+        return self._face(
+            tuple(g for g in self.hom_gens() if all(vec_dot(f, g) == 0 for f in tight))
         )
-        rays = tuple(
-            r
-            for r in self.rays
-            if all(vec_dot(f, tuple(r) + (0,)) == 0 for f in tight)
+
+    def _face(self, gens):
+        """The face spanned by some of the homogeneous generators; the
+        cell's facets contain those of the face."""
+        return _build_from_hom(
+            self.ambient_dim, gens, self.hom_lin(), lambda: self.hom_facets
         )
-        return make_cell(self.ambient_dim, verts, rays, self.lineality)
 
 
 def _intern(cell):
@@ -326,8 +323,68 @@ def _empty_cell(ambient_dim):
     return _intern(cell)
 
 
-def _build_from_hom(ambient_dim, hgens, hlin):
-    """Canonical cell from homogeneous generators (last coordinate is t)."""
+def _facets_by_dual(hgens, hlin, eqs):
+    """Facet forms of cone(hgens) + span(hlin), reduced modulo span(eqs),
+    from the extreme rays of its dual cone."""
+    n1 = len(hgens[0])
+    drays, _ = _dual_generators(hgens, hlin, n1)
+    dual_rank = n1 - len(eqs)
+    facets = set()
+    for d in drays:
+        tight = [g for g in hgens if vec_dot(g, d) == 0] + list(hlin)
+        if rank_int(tight) == dual_rank - 1:
+            dd = _reduce_mod(d, eqs)
+            if dd is not None:
+                facets.add(dd)
+    return facets
+
+
+def _facets_by_incidence(hgens, eqs, candidates):
+    """Facet forms of the cone of the generators (plus a lineality space
+    the candidates vanish on), reduced modulo span(eqs), picked from valid
+    inequalities that include one defining each facet.
+
+    A candidate defines the face spanned by the generators it vanishes on,
+    and faces are ordered by those sets: the facets are the candidates
+    whose sets are maximal among the proper ones.  A candidate vanishing
+    on every generator is an implicit equality and defines no facet.
+    """
+    full = (1 << len(hgens)) - 1
+    faces = {}
+    for f in set(candidates):
+        mask = 0
+        for i, g in enumerate(hgens):
+            d = vec_dot(f, g)
+            if d == 0:
+                mask |= 1 << i
+            elif d < 0:
+                raise VerificationError("candidate inequality cuts the cell")
+        if mask != full:
+            faces.setdefault(mask, f)
+    maximal = []
+    for mask in sorted(faces, key=int.bit_count, reverse=True):
+        if all(mask & m != mask for m in maximal):
+            maximal.append(mask)
+    return {_reduce_mod(faces[m], eqs) for m in maximal}
+
+
+def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
+    """Canonical cell from homogeneous generators (last coordinate is t).
+
+    The facets come from a dual double description pass, unless
+    `candidates` is given: a callable, run only when the cell is not in
+    the build memo, returning homogeneous forms that are nonnegative on
+    every generator, vanish on the lineality and include an inequality
+    defining every facet of cone(hgens) + span(hlin).  Every facet of a
+    polyhedron cut out by an inequality system is defined by one of them,
+    so a cell cut from known inequalities has such a set: the parent's
+    facets for `Cell.facet_cells` and `Cell.face_at`, the facets of both
+    cells for `intersect_cells`, the cell's facets and the cut forms for
+    `cut_cell_by_hom_forms` (and the cuts of `assemble_cycle`), and the
+    zero-padded facets of the factors for `cross_cells`.  Only cells from
+    bare generators (`make_cell`, hence `map_cell`, `cone_from_generators`,
+    `star_cell` and parsing) run the dual pass.
+    """
     n1 = ambient_dim + 1
     hgens = tuple(g for g in hgens if not is_zero(g))
     hlin = tuple(l for l in hlin if not is_zero(l))
@@ -337,23 +394,17 @@ def _build_from_hom(ambient_dim, hgens, hlin):
     got = _BUILD_MEMO.get(memo_key)
     if got is not None:
         return got
-    rows = list(hgens) + list(hlin)
-    eqs = integer_kernel(rows, n1)
-    drays, _ = _dual_generators(hgens, hlin, n1)
-    dual_rank = rank_int(rows)
-    facets = set()
-    for d in drays:
-        tight = [g for g in hgens if vec_dot(g, d) == 0] + list(hlin)
-        if rank_int(tight) == dual_rank - 1:
-            dd = _reduce_mod(d, eqs)
-            if dd is not None:
-                facets.add(dd)
+    eqs = integer_kernel(hgens + hlin, n1)
+    if candidates is None:
+        facets = _facets_by_dual(hgens, hlin, eqs)
+    else:
+        facets = _facets_by_incidence(hgens, eqs, candidates())
     facets = tuple(sorted(facets))
     plin = integer_kernel(list(facets) + list(eqs), n1)
     for l in plin:
         if l[-1] != 0:
             raise VerificationError("lineality escaped the homogenization slice")
-    primal_rank = rank_int(list(facets) + list(eqs))
+    primal_rank = n1 - len(plin)
     verts = set()
     rays = set()
     for g in hgens:
@@ -438,15 +489,20 @@ def intersect_cells(a, b):
     if got is not None:
         return got
     rays, lin = _cut(a.hom_gens(), a.hom_lin(), b.hom_eqs, b.hom_facets)
-    out = _build_from_hom(a.ambient_dim, rays, lin)
+    out = _build_from_hom(
+        a.ambient_dim, rays, lin, lambda: a.hom_facets + b.hom_facets
+    )
     _INTERSECT_MEMO[memo_key] = out
     return out
 
 
 def cut_cell_by_hom_forms(cell, ineqs, eqs=()):
     """cell intersected with homogeneous halfspaces and hyperplanes."""
+    ineqs = tuple(ineqs)
     rays, lin = _cut(cell.hom_gens(), cell.hom_lin(), eqs, ineqs)
-    return _build_from_hom(cell.ambient_dim, rays, lin)
+    return _build_from_hom(
+        cell.ambient_dim, rays, lin, lambda: cell.hom_facets + ineqs
+    )
 
 
 def cross_cells(a, b):
@@ -456,7 +512,9 @@ def cross_cells(a, b):
     and (w_b, t_b) give the vertex (t_b w_a, t_a w_b, t_a t_b), made
     primitive, and rays and lineality are padded with zeros.  These are the
     generators make_cell forms from the concatenated vertices, rays and
-    lineality, so the memo key and the cell are the same.
+    lineality, so the memo key and the cell are the same.  The product's
+    homogenization is the set where both factors' facet inequalities hold,
+    so its facets are among theirs, zero-padded around the shared t.
     """
     if a.is_empty or b.is_empty:
         return _empty_cell(a.ambient_dim + b.ambient_dim)
@@ -476,7 +534,16 @@ def cross_cells(a, b):
     hgens += [g[:-1] + zb for g in ga if not g[-1]]
     hgens += [za + u for u in gb if not u[-1]]
     hlin = [l[:-1] + zb for l in a.hom_lin()] + [za + l for l in b.hom_lin()]
-    return _build_from_hom(a.ambient_dim + b.ambient_dim, tuple(hgens), tuple(hlin))
+
+    def candidates():
+        pad = (0,) * b.ambient_dim
+        return [f[:-1] + pad + f[-1:] for f in a.hom_facets] + [
+            za + f for f in b.hom_facets
+        ]
+
+    return _build_from_hom(
+        a.ambient_dim + b.ambient_dim, tuple(hgens), tuple(hlin), candidates
+    )
 
 
 def is_face(cell, face):
@@ -802,9 +869,7 @@ def assemble_cycle(ambient_dim, dim, contributions):
                         nxt.append(p)
                         continue
                 for hh in (h, vec_neg(h)):
-                    q = _build_from_hom(
-                        ambient_dim, *_cut(p.hom_gens(), p.hom_lin(), (), (hh,))
-                    )
+                    q = cut_cell_by_hom_forms(p, (hh,))
                     if not q.is_empty and q.dim == dim:
                         nxt.append(q)
             pieces = nxt
