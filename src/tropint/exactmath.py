@@ -9,6 +9,7 @@ lattice coordinates come from exact division along HNF pivots.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def vec_sub(a, b):
@@ -20,10 +21,23 @@ def vec_neg(a):
 
 
 def vec_dot(a, b):
-    total = 0
-    for x, y in zip(a, b):
-        total += x * y
-    return total
+    return sum(map(mul, a, b))
+
+
+def vec_int(v):
+    """The entries of v as ints, or ValueError when one is not an integer.
+
+    Unlike int(), a non-integral Fraction is refused, never truncated.
+    """
+    out = []
+    for x in v:
+        if type(x) is not int:
+            q = Fraction(x)
+            if q.denominator != 1:
+                raise ValueError("%s is not an integer" % (x,))
+            x = q.numerator
+        out.append(x)
+    return tuple(out)
 
 
 def is_zero(a):

@@ -9,7 +9,6 @@ so two representations agreeing on every cell describe the same function.
 from fractions import Fraction
 
 from .exactmath import (
-    member_of_span,
     solve_integer,
     vec_dot,
     vec_sub,
@@ -18,6 +17,7 @@ from .polyhedra import (
     Complex,
     TropicalGeometryError,
     VerificationError,
+    _integers,
     _refine,
     _space_cell,
     add_cycles,
@@ -50,7 +50,7 @@ class PLFunction:
         order = sorted(range(len(cells)), key=lambda i: cells[i].key())
         self.cells = tuple(cells[i] for i in order)
         self.forms = tuple(
-            (tuple(int(c) for c in forms[i][0]), Fraction(forms[i][1]))
+            (_integers(forms[i][0], "covector entries"), Fraction(forms[i][1]))
             for i in order
         )
         self.carrier = Complex(self.cells[0].ambient_dim, self.cells)
@@ -109,7 +109,7 @@ def ray_function(fan, values):
         fan = fan.complex()
     if not fan.is_simplicial_fan():
         raise TropicalGeometryError("carrier is not a pointed simplicial fan")
-    values = {tuple(r): int(v) for r, v in values.items()}
+    values = dict(zip(map(tuple, values), _integers(values.values(), "ray values")))
     cells = fan.maximal
     forms = []
     for cone in cells:
@@ -133,7 +133,7 @@ def max_poly_function(carrier, forms):
     """
     if hasattr(carrier, "cells"):
         carrier = carrier.complex()
-    forms = [(tuple(int(c) for c in cov), Fraction(off)) for cov, off in forms]
+    forms = [(_integers(cov, "covector entries"), Fraction(off)) for cov, off in forms]
     if not forms:
         raise TropicalGeometryError("empty maximum")
     cells = carrier.maximal
@@ -189,7 +189,7 @@ def add_functions(f, g):
 
 
 def scale_function(f, c):
-    c = int(c)
+    c = _integers((c,), "scale factors")[0]
     return PLFunction(
         f.cells,
         tuple((tuple(c * a for a in cov), c * off) for cov, off in f.forms),
@@ -280,7 +280,7 @@ def divisor(phi, x):
             for i in range(n):
                 total[i] += w * u[i]
         total = tuple(total)
-        if not member_of_span(tau.direction_lattice(), total):
+        if not tau.spans_direction(total):
             raise UnbalancedCycleError(
                 "cycle is not balanced around a codimension-one cell"
             )
@@ -302,7 +302,8 @@ class CartierExpression:
 
     def __init__(self, terms):
         self.terms = tuple(
-            (int(c), tuple(factors)) for c, factors in terms
+            (_integers((c,), "coefficients")[0], tuple(factors))
+            for c, factors in terms
         )
 
     def __len__(self):

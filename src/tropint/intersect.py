@@ -17,6 +17,7 @@ from .linspace import rewrite_diagonal, star_diagonal
 from .polyhedra import (
     TropicalGeometryError,
     VerificationError,
+    _integers,
     _module_cache,
     cross,
     cycles_equal,
@@ -36,7 +37,7 @@ class Morphism:
     __slots__ = ("matrix", "translation", "source_dim", "target_dim")
 
     def __init__(self, matrix, translation=None, source_dim=None):
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        self.matrix = tuple(_integers(row, "matrix entries") for row in matrix)
         if self.matrix:
             widths = {len(row) for row in self.matrix}
             if len(widths) != 1:

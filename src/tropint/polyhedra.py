@@ -9,8 +9,12 @@ hand (a face, an intersection, a cut or a product) takes its facets from
 them by incidence: they are the inequalities whose sets of tight generators
 are maximal among the proper ones.  Only a cell from bare generators
 (`make_cell`) runs an exact double description pass on the dual cone.
-Intersections and cuts by hyperplanes and halfspaces share one cut of the
-homogeneous generators (equations first, then inequalities).
+Either way the vertices and rays are then picked from the generators by
+incidence with the facets, with no rank computed, and an integral vertex
+coordinate is stored as an int (a Fraction only where it is not
+integral).  Intersections and cuts by hyperplanes and halfspaces share
+one cut of the homogeneous generators (equations first, then
+inequalities).
 
 Containment of points, directions and cells is one test of homogeneous
 integer vectors against the H-representation; a contained cell is tested
@@ -27,6 +31,9 @@ is on the boundary iff its inequality is one of the cell's own.
 
 Products of cells are built from the factors' homogeneous generators, so
 a product found in the build memo costs no Fraction arithmetic.
+Balancing around a codimension-one cell tau is tested with integer dot
+products: a sum of lattice normals lies in the span of tau iff every span
+equation of tau vanishes on it.
 
 Conventions:
   * a cell with no vertices is the empty cell;
@@ -50,6 +57,7 @@ from .exactmath import (
     saturate,
     solve_integer,
     vec_dot,
+    vec_int,
     vec_neg,
 )
 
@@ -60,6 +68,15 @@ class TropicalGeometryError(ValueError):
 
 class VerificationError(RuntimeError):
     """An internal exactness or consistency re-check failed."""
+
+
+def _integers(values, what):
+    """The values as a tuple of ints; a value that is not an integer raises
+    TropicalGeometryError naming `what`, where int() would truncate it."""
+    try:
+        return vec_int(values)
+    except ValueError as err:
+        raise TropicalGeometryError("%s must be integers: %s" % (what, err)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +258,11 @@ class Cell:
     def contains_direction(self, r):
         return not self.is_empty and self._holds(tuple(r) + (0,))
 
+    def spans_direction(self, r):
+        """True iff r lies in the linear span of the directions along the
+        cell, that is iff every span equation vanishes on (r, 0)."""
+        return not any(vec_dot(e, r) for e in self.hom_eqs)
+
     def contains_cell(self, other):
         if other.is_empty:
             return True
@@ -325,18 +347,28 @@ def _empty_cell(ambient_dim):
 
 def _facets_by_dual(hgens, hlin, eqs):
     """Facet forms of cone(hgens) + span(hlin), reduced modulo span(eqs),
-    from the extreme rays of its dual cone."""
+    from the extreme rays of its dual cone; see _facets_by_incidence for
+    the dict returned."""
     n1 = len(hgens[0])
     drays, _ = _dual_generators(hgens, hlin, n1)
     dual_rank = n1 - len(eqs)
-    facets = set()
+    facets = {}
     for d in drays:
         tight = [g for g in hgens if vec_dot(g, d) == 0] + list(hlin)
         if rank_int(tight) == dual_rank - 1:
             dd = _reduce_mod(d, eqs)
             if dd is not None:
-                facets.add(dd)
+                facets[dd] = _tight_mask(dd, hgens)
     return facets
+
+
+def _tight_mask(f, hgens):
+    """Bitmask of the generators the form f vanishes on."""
+    mask = 0
+    for i, g in enumerate(hgens):
+        if vec_dot(f, g) == 0:
+            mask |= 1 << i
+    return mask
 
 
 def _facets_by_incidence(hgens, eqs, candidates):
@@ -348,6 +380,8 @@ def _facets_by_incidence(hgens, eqs, candidates):
     and faces are ordered by those sets: the facets are the candidates
     whose sets are maximal among the proper ones.  A candidate vanishing
     on every generator is an implicit equality and defines no facet.
+    Returns a dict from each facet form to the bitmask of the generators
+    it is tight on.
     """
     full = (1 << len(hgens)) - 1
     faces = {}
@@ -365,7 +399,43 @@ def _facets_by_incidence(hgens, eqs, candidates):
     for mask in sorted(faces, key=int.bit_count, reverse=True):
         if all(mask & m != mask for m in maximal):
             maximal.append(mask)
-    return {_reduce_mod(faces[m], eqs) for m in maximal}
+    return {_reduce_mod(faces[m], eqs): m for m in maximal}
+
+
+def _extreme_generators(hgens, facet_masks, plin):
+    """The generators spanning extreme rays of cone(hgens) + span(plin)
+    modulo its lineality span(plin), each reduced modulo span(plin).
+
+    The smallest face containing a generator g is cut out by the facets
+    tight on g, and holds exactly the generators tight on all of them
+    (`facet_masks` maps each facet form to the bitmask of the generators
+    it is tight on).  g spans an extreme ray iff every generator in that
+    face outside the lineality reduces to the same vector as g: the face
+    is then a single ray modulo the lineality.  Generators in the
+    lineality are skipped.  This is the combinatorial test of Fukuda and
+    Prodon (1996); no rank is computed.
+    """
+    masks = tuple(facet_masks.values())
+    reduced = [_reduce_mod(g, plin) for g in hgens]
+    out = []
+    for i, gi in enumerate(reduced):
+        if gi is None:
+            continue
+        bit = 1 << i
+        face = -1
+        for m in masks:
+            if m & bit:
+                face &= m
+        face &= (1 << len(hgens)) - 1 - bit
+        while face:
+            low = face & -face
+            gj = reduced[low.bit_length() - 1]
+            if gj is not None and gj != gi:
+                break
+            face ^= low
+        else:
+            out.append(gi)
+    return out
 
 
 def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
@@ -384,6 +454,11 @@ def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
     zero-padded facets of the factors for `cross_cells`.  Only cells from
     bare generators (`make_cell`, hence `map_cell`, `cone_from_generators`,
     `star_cell` and parsing) run the dual pass.
+
+    Vertices and rays are the generators that span extreme rays, found by
+    incidence with the facets (`_extreme_generators`), with no rank test.
+    This is the one place that makes canonical vertices: an integral
+    coordinate is stored as an int and any other as a Fraction.
     """
     n1 = ambient_dim + 1
     hgens = tuple(g for g in hgens if not is_zero(g))
@@ -396,27 +471,20 @@ def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
         return got
     eqs = integer_kernel(hgens + hlin, n1)
     if candidates is None:
-        facets = _facets_by_dual(hgens, hlin, eqs)
+        facet_masks = _facets_by_dual(hgens, hlin, eqs)
     else:
-        facets = _facets_by_incidence(hgens, eqs, candidates())
-    facets = tuple(sorted(facets))
+        facet_masks = _facets_by_incidence(hgens, eqs, candidates())
+    facets = tuple(sorted(facet_masks))
     plin = integer_kernel(list(facets) + list(eqs), n1)
     for l in plin:
         if l[-1] != 0:
             raise VerificationError("lineality escaped the homogenization slice")
-    primal_rank = n1 - len(plin)
     verts = set()
     rays = set()
-    for g in hgens:
-        tight = [f for f in facets if vec_dot(f, g) == 0] + list(eqs)
-        if rank_int(tight) != primal_rank - 1:
-            continue
-        gg = _reduce_mod(g, plin)
-        if gg is None:
-            continue
+    for gg in _extreme_generators(hgens, facet_masks, plin):
         t = gg[-1]
         if t > 0:
-            verts.add(tuple(Fraction(x, t) for x in gg[:-1]))
+            verts.add(tuple(x // t if x % t == 0 else Fraction(x, t) for x in gg[:-1]))
         else:
             rays.add(gg[:-1])
     if not verts:
@@ -439,27 +507,34 @@ def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
     return cell
 
 
+def _rational(v):
+    """The entries of v as ints or Fractions, so that nothing is truncated."""
+    return tuple(x if type(x) is int else Fraction(x) for x in v)
+
+
+def _primitive_direction(r):
+    """The primitive integer vector on the ray through a rational
+    direction, or None for the zero vector."""
+    w, _ = clear_denominators(_rational(r))
+    return None if is_zero(w) else primitive_vector(w)
+
+
 def make_cell(ambient_dim, vertices=(), rays=(), lineality=()):
     """Canonical cell from arbitrary generators.
 
     An input without vertices but with rays or lineality is taken to be a
-    cone at the origin.
+    cone at the origin.  Coordinates may be ints, Fractions or anything
+    Fraction accepts; a rational ray or lineality direction is scaled
+    exactly to its primitive integer vector.
     """
-    vertices = tuple(tuple(Fraction(x) for x in v) for v in vertices)
-    rays = tuple(tuple(int(x) for x in r) for r in rays)
-    lineality = tuple(tuple(int(x) for x in l) for l in lineality)
+    vertices = tuple(map(_rational, vertices))
     if not vertices:
         if not rays and not lineality:
             return _empty_cell(ambient_dim)
-        vertices = (tuple(Fraction(0) for _ in range(ambient_dim)),)
-    hgens = []
-    for v in vertices:
-        w, _ = clear_denominators(tuple(v) + (1,))
-        hgens.append(primitive_vector(w))
-    for r in rays:
-        if not is_zero(r):
-            hgens.append(primitive_vector(r) + (0,))
-    hlin = [primitive_vector(l) + (0,) for l in lineality if not is_zero(l)]
+        vertices = ((0,) * ambient_dim,)
+    hgens = [primitive_vector(clear_denominators(v + (1,))[0]) for v in vertices]
+    hgens += [r + (0,) for r in map(_primitive_direction, rays) if r is not None]
+    hlin = [l + (0,) for l in map(_primitive_direction, lineality) if l is not None]
     return _build_from_hom(ambient_dim, tuple(hgens), tuple(hlin))
 
 
@@ -1057,7 +1132,7 @@ def is_balanced(x):
             u = lattice_normal(cells[idx], tau, form)
             for i in range(n):
                 total[i] += weights[idx] * u[i]
-        if not member_of_span(tau.direction_lattice(), tuple(total)):
+        if not tau.spans_direction(total):
             return False
     return True
 
@@ -1088,7 +1163,9 @@ def stellar_subdivide(x, ray):
     ray together with its facets not containing it; weights, support and
     balancing are unchanged.
     """
-    ray = primitive_vector(tuple(int(v) for v in ray))
+    ray = _primitive_direction(ray)
+    if ray is None:
+        raise TropicalGeometryError("stellar subdivision needs a nonzero ray")
     if any(not c.is_cone for c, _ in x.cells):
         raise TropicalGeometryError("stellar subdivision requires a fan cycle")
     if not any(c.contains_direction(ray) for c, _ in x.cells):

@@ -1,8 +1,26 @@
 import re
+from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from tropint.polyhedra import _CELL_POOL
+
 _CRITERION = re.compile(r"test_criterion_(\d+)")
+
+
+@pytest.fixture(autouse=True)
+def integral_vertex_coordinates_are_ints():
+    """Every cell a test builds stores an integral vertex coordinate as an
+    int and any other as a Fraction (cells the test clears are missed)."""
+    start = len(_CELL_POOL)
+    yield
+    if len(_CELL_POOL) < start:
+        start = 0
+    for cell in islice(_CELL_POOL.values(), start, None):
+        for v in cell.vertices:
+            for x in v:
+                assert type(x) is (int if x == int(x) else Fraction), cell
 
 
 def pytest_configure(config):

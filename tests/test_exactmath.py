@@ -22,6 +22,7 @@ from tropint.exactmath import (
     solve_integer,
     solve_rational,
     vec_dot,
+    vec_int,
 )
 
 import pytest
@@ -130,6 +131,19 @@ def test_primitive_vector():
     assert primitive_vector((0, 0, -5)) == (0, 0, -1)
     with pytest.raises(ValueError):
         primitive_vector((0, 0, 0))
+
+
+def test_vec_dot_and_vec_int():
+    assert vec_dot((1, -2, 3), (4, 5, 6)) == 12
+    assert vec_dot((Fraction(1, 2), 3), (4, Fraction(1, 3))) == 3
+    assert vec_dot((), ()) == 0
+    # like zip, a longer first vector is cut to the second's length
+    assert vec_dot((1, 2, 7), (3, 4)) == 11
+    assert vec_int((Fraction(4, 2), -3, "5", 2.0, True)) == (2, -3, 5, 2, 1)
+    assert all(type(x) is int for x in vec_int((Fraction(-6, 3), 2.0)))
+    for bad in ((Fraction(1, 2),), (0, Fraction(-7, 3)), (2.5,), ("1/3",)):
+        with pytest.raises(ValueError):
+            vec_int(bad)
 
 
 def test_clear_denominators():

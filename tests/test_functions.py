@@ -300,3 +300,27 @@ def test_cartier_expression():
     assert cycles_equal(combo.apply(plane_cycle()), l21_cycle())
     empty = CartierExpression([(1, (phi, phi, phi))]).apply(plane_cycle())
     assert empty.is_empty
+
+
+def test_non_integral_slopes_and_coefficients_are_refused():
+    half = F(1, 2)
+    space = affine_function(2, (0, 0)).cells
+    with pytest.raises(TropicalGeometryError):
+        affine_function(2, (half, 1))
+    with pytest.raises(TropicalGeometryError):
+        PLFunction(space, (((1, F(7, 3)), 0),))
+    with pytest.raises(TropicalGeometryError):
+        max_poly_function(real_line_cycle(), [((half,), 0)])
+    with pytest.raises(TropicalGeometryError):
+        scale_function(tropical_max_xy(), half)
+    with pytest.raises(TropicalGeometryError):
+        ray_function(l21_cycle(), {(1, 1): half})
+    with pytest.raises(TropicalGeometryError):
+        CartierExpression([(1, ()), (F(3, 2), ())])
+    # integral Fractions (and any exact integer) are taken as ints
+    phi = affine_function(2, (F(4, 2), 1), F(1, 2))
+    assert phi.forms == (((2, 1), F(1, 2)),)
+    assert all(type(c) is int for c in phi.forms[0][0])
+    assert scale_function(phi, F(-3, 3)).forms == (((-2, -1), F(-1, 2)),)
+    assert CartierExpression([(F(6, 3), ())]).terms == ((2, ()),)
+    assert ray_function(l21_cycle(), {(1, 1): F(2)}).value((1, 1)) == 2

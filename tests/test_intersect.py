@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from tropint import intersect, linspace, polyhedra
@@ -399,6 +401,13 @@ def test_morphism_validation():
         Morphism([], translation=())
     m = Morphism([(2, 1), (0, 3)], translation=(1, 1))
     assert m.apply((1, 1)) == (4, 4)
+    # matrix entries must be integers: a non-integral one is refused, not
+    # truncated, and an integral Fraction is taken as an int
+    with pytest.raises(TropicalGeometryError):
+        Morphism([(Fraction(1, 2), 1)])
+    m = Morphism([(Fraction(4, 2), 1)], translation=(Fraction(1, 2),))
+    assert m.matrix == ((2, 1),) and type(m.matrix[0][0]) is int
+    assert m.apply((1, 1)) == (Fraction(7, 2),)
 
 
 def test_intersect_requires_matching_ambient():

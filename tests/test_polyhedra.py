@@ -16,7 +16,16 @@ from fractions import Fraction
 import pytest
 
 from tropint import polyhedra
-from tropint.exactmath import _unit_rows, rank_int, vec_dot, vec_neg
+from tropint.exactmath import (
+    _unit_rows,
+    integer_kernel,
+    member_of_span,
+    primitive_vector,
+    rank_int,
+    vec_dot,
+    vec_neg,
+)
+from tropint.functions import UnbalancedCycleError, affine_function, divisor
 from tropint.polyhedra import (
     _BUILD_MEMO,
     _CELL_POOL,
@@ -25,9 +34,11 @@ from tropint.polyhedra import (
     VerificationError,
     ZeroCycleSummary,
     _build_from_hom,
+    _extreme_generators,
     _hyperplane_key,
     _missed_sides,
     _reduce_mod,
+    _tight_mask,
     add_cycles,
     check_cover,
     clear_caches,
@@ -707,11 +718,46 @@ def both_ways(ambient_dim, hgens, hlin, forms):
 DUAL_PASS_LIMIT = 16
 
 
+def extremes_by_rank(hgens, facets, plin):
+    """Reference for the incidence test of _extreme_generators: g spans an
+    extreme ray iff the facets tight on it, with the span equations, have
+    rank one less than all of them."""
+    n1 = len(hgens[0])
+    eqs = integer_kernel(tuple(hgens) + tuple(plin), n1)
+    primal_rank = n1 - len(plin)
+    out = set()
+    for g in hgens:
+        tight = [f for f in facets if vec_dot(f, g) == 0] + list(eqs)
+        if rank_int(tight) == primal_rank - 1:
+            out.add(_reduce_mod(g, plin))
+    return out
+
+
 @pytest.fixture
-def dual_checked(monkeypatch):
+def extremes_checked(monkeypatch):
+    """Compare every pick of vertices and rays by incidence with the rank
+    test.  Returns the list of generator counts of the checked picks."""
+    pick = polyhedra._extreme_generators
+    picks = []
+
+    def checking(hgens, facet_masks, plin):
+        for f, mask in facet_masks.items():
+            assert mask == _tight_mask(f, hgens)
+        got = pick(hgens, facet_masks, plin)
+        assert set(got) == extremes_by_rank(hgens, tuple(facet_masks), plin)
+        picks.append(len(hgens))
+        return got
+
+    monkeypatch.setattr(polyhedra, "_extreme_generators", checking)
+    return picks
+
+
+@pytest.fixture
+def dual_checked(monkeypatch, extremes_checked):
     """Compare every build that is given candidate facets with the dual
-    double description of the same generators.  Returns the list of
-    (checked, generator count) for every such build."""
+    double description of the same generators, and every pick of extreme
+    generators with the rank test.  Returns the list of (checked,
+    generator count) for every build given candidate facets."""
     build = polyhedra._build_from_hom
     builds = []
 
@@ -725,7 +771,9 @@ def dual_checked(monkeypatch):
         return build(ambient_dim, hgens, hlin, candidates)
 
     monkeypatch.setattr(polyhedra, "_build_from_hom", checking)
-    return builds
+    yield builds
+    # each checked build ran twice from scratch, by incidence and dually
+    assert len(extremes_checked) >= 2 * checked_count(builds)
 
 
 def checked_count(builds):
@@ -902,3 +950,187 @@ def test_builds_from_known_cells_run_no_dual_pass(monkeypatch):
     # the same count sees the dual pass of a cell from bare generators
     make_cell(2, vertices=[(0, 0), (5, 0), (0, 7)])
     assert len(calls) == 1
+
+
+# -- extreme generators by incidence against the rank test ----------------
+
+
+def cell_with_lineality(rng, n):
+    """A seeded cell in R^n with one or two lineality directions and
+    rational vertices."""
+    lin = []
+    while len(lin) < rng.randint(1, 2):
+        l = tuple(rng.randint(-2, 2) for _ in range(n))
+        if any(l):
+            lin.append(l)
+    verts = [
+        tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n))
+        for _ in range(rng.randint(1, 3))
+    ]
+    rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+    return make_cell(n, verts, rays, lin)
+
+
+def messy_generators(rng, cell):
+    """Generators of the cell's homogenization with duplicates, positive
+    multiples, shifts along the lineality, sums of two generators and
+    generators that lie in the lineality."""
+    gens, lin = list(cell.hom_gens()), list(cell.hom_lin())
+    extra = []
+    for g in gens:
+        extra += [g, tuple(3 * x for x in g)]
+        for l in lin:
+            k = rng.randint(-2, 2)
+            extra.append(tuple(x + k * y for x, y in zip(g, l)))
+    for g, h in zip(gens, gens[1:]):
+        extra.append(tuple(x + y for x, y in zip(g, h)))
+    for l in lin:
+        extra += [l, vec_neg(l), tuple(2 * x for x in l)]
+    out = gens + extra
+    rng.shuffle(out)
+    return tuple(out)
+
+
+def test_extreme_generators_by_incidence_match_the_rank_test():
+    rng = random.Random(7272)
+    tried = {2: 0, 3: 0, 4: 0}
+    for n in tried:
+        for _ in range(20):
+            cell = cell_with_lineality(rng, n)
+            if cell.is_empty:
+                continue
+            lin = cell.hom_lin()
+            assert lin
+            for hgens in (cell.hom_gens(), messy_generators(rng, cell)):
+                masks = {f: _tight_mask(f, hgens) for f in cell.hom_facets}
+                got = _extreme_generators(hgens, masks, lin)
+                assert set(got) == extremes_by_rank(hgens, cell.hom_facets, lin)
+                assert set(got) == set(cell.hom_gens())
+                # the build from those generators keeps the cell
+                built = fresh(lambda: _build_from_hom(n, hgens, lin, lambda: cell.hom_facets))
+                assert built == cell
+            tried[n] += 1
+    assert all(count >= 15 for count in tried.values())
+
+
+def test_extreme_generators_skip_the_lineality(extremes_checked):
+    # every generator of a line but one lies in its lineality
+    line = make_cell(2, vertices=[(F(1, 2), 0)], lineality=[(1, 1)])
+    (vertex,) = line.hom_gens()
+    lin = line.hom_lin()
+    hgens = (vertex, lin[0], vec_neg(lin[0]), (2, 2, 0))
+    assert fresh(lambda: _build_from_hom(2, hgens, lin, lambda: line.hom_facets)) == line
+    assert fresh(lambda: _build_from_hom(2, hgens, lin)) == line
+    # a generator of the lineality sits in the smallest face of every other
+    plane = make_cell(3, vertices=[(0, 0, 1)], rays=[(1, 0, 0)], lineality=[(0, 1, 0)])
+    hgens = plane.hom_gens() + ((0, 1, 0, 0), (0, -3, 0, 0), (1, 1, 0, 0), (0, 2, 2, 2))
+    assert fresh(lambda: _build_from_hom(3, hgens, plane.hom_lin())) == plane
+    # the two cells from make_cell, then the three builds above
+    assert len(extremes_checked) == 5
+
+
+# -- vertex coordinates: ints where integral, Fractions elsewhere (every
+# cell a test builds is checked by the conftest fixture) ------------------
+
+
+def test_make_cell_interns_integral_fractions_as_ints():
+    a = make_cell(2, vertices=[(F(2), F(6, 3))], rays=[(1, F(1))])
+    b = make_cell(2, vertices=[(2, 2)], rays=[(1, 1)])
+    assert a is b
+    assert all(type(x) is int for x in a.vertices[0])
+    half = make_cell(1, vertices=[(F(1, 2),), (F(4, 2),)])
+    assert [type(v[0]) for v in half.vertices] == [Fraction, int]
+    assert make_cell(1, vertices=[("1/2",), ("2",)]) is half
+
+
+# -- rational directions are scaled, never truncated ----------------------
+
+
+def test_rational_directions_are_scaled_to_primitive_vectors():
+    origin = [(0, 0)]
+    assert make_cell(2, origin, rays=[(F(1, 2), F(1, 3))]).rays == ((3, 2),)
+    assert make_cell(2, origin, rays=[(F(1, 2), 1)]).rays == ((1, 2),)
+    assert make_cell(2, origin, rays=[(F(-4, 2), 0)]).rays == ((-1, 0),)
+    assert make_cell(2, origin, lineality=[(F(1, 2), F(1, 3))]) == make_cell(
+        2, origin, lineality=[(3, 2)]
+    )
+    assert cone_from_generators(2, [(F(1, 2), 1)]) is cone_from_generators(2, [(1, 2)])
+    assert cone_from_generators(2, [(F(1, 3), F(1, 3))], [(F(1, 2), 0)]) is (
+        cone_from_generators(2, [(0, 1)], [(1, 0)])
+    )
+    quad = make_cycle(2, 2, [(cone_from_generators(2, [(1, 0), (0, 1)]), 1)])
+    assert stellar_subdivide(quad, (F(1, 2), F(1, 3))) == stellar_subdivide(quad, (3, 2))
+    assert len(stellar_subdivide(quad, (F(1, 2), 1)).cells) == 2
+    with pytest.raises(TropicalGeometryError):
+        stellar_subdivide(quad, (0, F(0)))
+
+
+# -- balancing by span equations against span membership ------------------
+
+
+def balanced_by_span_membership(x):
+    """The balancing test through span membership of the lattice normals'
+    sum in tau's direction lattice."""
+    cells = [c for c, _ in x.cells]
+    for tau, around in facet_data(cells).items():
+        total = [0] * x.ambient_dim
+        for idx, form in around:
+            u = lattice_normal(cells[idx], tau, form)
+            for i in range(x.ambient_dim):
+                total[i] += x.cells[idx][1] * u[i]
+        if not member_of_span(tau.direction_lattice(), tuple(total)):
+            return False
+    return True
+
+
+def seeded_curve(rng, n=2):
+    """A balanced curve in R^n: rays from a rational vertex whose weighted
+    primitive directions sum to zero."""
+    vertex = tuple(F(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n))
+    rays = {}
+    while len(rays) < 2:
+        r = tuple(rng.randint(-2, 2) for _ in range(n))
+        if any(r):
+            rays.setdefault(primitive_vector(r), rng.randint(1, 2))
+    rest = tuple(-sum(w * r[i] for r, w in rays.items()) for i in range(n))
+    if not any(rest):
+        return seeded_curve(rng, n)
+    last = primitive_vector(rest)
+    rays[last] = rays.get(last, 0) + math.gcd(*rest)
+    return make_cycle(
+        n, 1, [(make_cell(n, [vertex], [r]), w) for r, w in rays.items()]
+    )
+
+
+def test_balancing_by_span_equations_matches_span_membership():
+    rng = random.Random(9191)
+    line = make_cycle(1, 1, [(make_cell(1, [(F(1, 3),)], lineality=[(1,)]), 1)])
+    verdicts = set()
+    with_lineality = 0
+    for _ in range(12):
+        curve = seeded_curve(rng)
+        for x in (curve, cross(curve, line), cross(line, seeded_curve(rng)), cross(curve, curve)):
+            # the cycle itself, then one cell dropped, then one weight changed
+            cells = list(x.cells)
+            i = rng.randrange(len(cells))
+            changed = cells[:]
+            changed[i] = (cells[i][0], cells[i][1] + rng.choice((-1, 1, 2)))
+            variants = [x, make_cycle(x.ambient_dim, x.dim, cells[:i] + cells[i + 1:])]
+            variants.append(make_cycle(x.ambient_dim, x.dim, changed))
+            cov = tuple(rng.randint(-2, 2) for _ in range(x.ambient_dim))
+            phi = affine_function(x.ambient_dim, cov)
+            for y in variants:
+                if y.is_empty:
+                    continue
+                want = balanced_by_span_membership(y)
+                assert is_balanced(y) == want
+                try:
+                    divisor(phi, y)
+                except UnbalancedCycleError:
+                    assert not want
+                else:
+                    assert want
+                verdicts.add(want)
+                with_lineality += any(c.lineality for c, _ in y.cells)
+    assert verdicts == {True, False}
+    assert with_lineality >= 40
