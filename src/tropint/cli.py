@@ -215,7 +215,7 @@ def _cmd_intersect(args):
 def _cmd_pushforward(args):
     f = _load(args.map, Morphism, "morphism")
     x = _load(args.cycle, TropicalCycle, "cycle")
-    y = pushforward(f, x, validate=True)
+    y = pushforward(f, x)
     _emit(args, formats.serialize(y))
     _report(args, "pushforward: %s" % _describe(y))
 

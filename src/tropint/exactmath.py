@@ -2,9 +2,10 @@
 
 All vectors are tuples of ints (lattice vectors) or Fractions (rational
 points).  Matrices are tuples of row tuples.  Nothing here ever touches
-floating point; every result is exact.  Rank, determinants, rational
-solving and span membership share one fraction-free (Bareiss) elimination;
-lattice coordinates come from exact division along HNF pivots.
+floating point; every result is exact.  The Hermite normal form is the
+one elimination: integer kernels, integer solutions and lattice indices
+all come from it, and lattice coordinates from exact division along its
+pivots.
 """
 
 from fractions import Fraction
@@ -149,73 +150,8 @@ def hnf_basis(rows):
     return tuple(r for r in h if not is_zero(r))
 
 
-def _echelon(mat, ncols):
-    """Fraction-free (Bareiss) row echelon form of an integer matrix.
-
-    `mat` is a list of integer row lists, reduced in place; pivots are
-    sought in its first `ncols` columns, later columns (a right-hand side)
-    are carried along.  Returns (pivot columns, sign of the row
-    permutation).  Row r < rank has its pivot in column pivots[r]; rows
-    from rank on are zero in the first `ncols` columns.  Pivot rows hold
-    minors of the input, and a square matrix of full rank ends in its
-    determinant times the sign.
-
-    A row with a zero in the pivot column is left as it is instead of
-    being scaled by pivot / previous pivot; `scale[i]` records the pivot
-    row i was last brought up to date with, so that every division stays
-    exact when the row is next used.
-    """
-    m = len(mat)
-    scale = [1] * m
-    pivots = []
-    sign = 1
-    prev = 1
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == m:
-            break
-        for piv in range(rank, m):
-            if mat[piv][col]:
-                break
-        else:
-            continue
-        if piv != rank:
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            scale[rank], scale[piv] = scale[piv], scale[rank]
-            sign = -sign
-        if scale[rank] != prev:
-            mat[rank] = [a * prev // scale[rank] for a in mat[rank]]
-        prow = mat[rank]
-        p = prow[col]
-        for i in range(rank + 1, m):
-            row = mat[i]
-            c = row[col]
-            if c:
-                mat[i] = [(p * a - c * b) // scale[i] for a, b in zip(row, prow)]
-                scale[i] = p
-        prev = p
-        pivots.append(col)
-    return pivots, sign
-
-
-def rank_int(rows):
-    """Rank over Q of a matrix with integer or Fraction entries."""
-    mat = [list(clear_denominators(r)[0]) for r in rows]
-    return len(_echelon(mat, len(mat[0]) if mat else 0)[0])
-
-
-def det_int(rows):
-    """Determinant of a square integer matrix."""
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    pivots, sign = _echelon(mat, n)
-    if len(pivots) < n:
-        return 0
-    return sign * mat[-1][-1] if n else 1
-
-
 # ---------------------------------------------------------------------------
-# Kernels, saturation, solving
+# Kernels and solving
 
 
 def integer_kernel(rows, dim=None):
@@ -235,60 +171,6 @@ def integer_kernel(rows, dim=None):
     h, u = hnf(mt)
     out = tuple(u[i] for i in range(len(h)) if is_zero(h[i]))
     return hnf_basis(out) if out else ()
-
-
-def saturate(rows, dim):
-    """Canonical HNF basis of Z^dim intersected with the span of `rows`."""
-    rows = [r for r in rows if not is_zero(r)]
-    if not rows:
-        return ()
-    ker = integer_kernel(rows, dim)
-    if not ker:
-        return _unit_rows(dim)
-    return integer_kernel(ker, dim)
-
-
-def _reduce_system(rows, rhs):
-    """Echelon form of [M | rhs] and its pivot columns, or None when
-    M x = rhs has no rational solution."""
-    n = len(rows[0]) if rows else 0
-    mat = [list(clear_denominators(tuple(r) + (b,))[0]) for r, b in zip(rows, rhs)]
-    pivots, _ = _echelon(mat, n)
-    if any(row[n] for row in mat[len(pivots):]):
-        return None
-    return mat, pivots
-
-
-def solve_rational(rows, rhs):
-    """Solve M x = rhs exactly over the rationals.
-
-    Returns (x, kernel_basis) with x a tuple of Fractions and kernel_basis
-    a tuple of rational vectors spanning the solution space of M x = 0, or
-    None when the system is inconsistent.  x is zero on the free columns;
-    kernel vector i is one on the i-th free column and zero on the others.
-    """
-    reduced = _reduce_system(rows, rhs)
-    if reduced is None:
-        return None
-    mat, pivots = reduced
-    n = len(rows[0]) if rows else 0
-
-    def back_substitute(v, t):
-        # pivot unknowns of v from U v = t * rhs, free unknowns already set
-        for r in range(len(pivots) - 1, -1, -1):
-            row, col = mat[r], pivots[r]
-            s = t * row[n] - sum(row[j] * v[j] for j in range(col + 1, n))
-            v[col] = Fraction(s, row[col])
-        return tuple(v)
-
-    x = back_substitute([Fraction(0)] * n, 1)
-    kernel = []
-    for f in range(n):
-        if f not in pivots:
-            v = [Fraction(0)] * n
-            v[f] = Fraction(1)
-            kernel.append(back_substitute(v, 0))
-    return x, tuple(kernel)
 
 
 def solve_integer(rows, rhs):
@@ -327,13 +209,6 @@ def solve_integer(rows, rhs):
     return tuple(x)
 
 
-def member_of_span(rows, v):
-    """True iff v lies in the rational span of `rows`."""
-    if not rows:
-        return is_zero(v)
-    return _reduce_system(tuple(zip(*rows)), v) is not None
-
-
 def _lattice_coords(basis, v):
     """Integer coordinates of v in an echelon basis such as an HNF basis,
     or None when v is not in the lattice the basis generates."""
@@ -366,7 +241,12 @@ def lattice_index(sub_basis, basis):
     coords = [_lattice_coords(hbasis, b) for b in sub_basis]
     if None in coords:
         raise ValueError("first family is not a sublattice of the second")
-    det = det_int(coords)
-    if det == 0:
+    h = hnf_basis(coords)
+    if len(h) != r:
         raise ValueError("lattice bases must be linearly independent")
-    return abs(det)
+    # the HNF of a full-rank square matrix is upper triangular with
+    # positive pivots, and their product is |det|
+    index = 1
+    for row in h:
+        index *= row[_pivot_col(row)]
+    return index

@@ -104,13 +104,19 @@ def affine_function(ambient_dim, covector, offset=0):
 
 def ray_function(fan, values):
     """The function linear on each cone of a pointed simplicial fan taking
-    prescribed integer values on its rays (zero where unspecified)."""
+    prescribed integer values on its rays (zero where unspecified).  A
+    value given on a vector that is not a primitive ray of the fan raises
+    TropicalGeometryError."""
     if hasattr(fan, "cells"):  # a cycle: use its complex
         fan = fan.complex()
     if not fan.is_simplicial_fan():
         raise TropicalGeometryError("carrier is not a pointed simplicial fan")
     values = dict(zip(map(tuple, values), _integers(values.values(), "ray values")))
     cells = fan.maximal
+    rays = {r for cone in cells for r in cone.rays}
+    for r in values:
+        if r not in rays:
+            raise TropicalGeometryError("%s is not a ray of the fan" % (r,))
     forms = []
     for cone in cells:
         rhs = tuple(values.get(r, 0) for r in cone.rays)

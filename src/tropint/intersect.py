@@ -76,21 +76,21 @@ def diagonal_morphism(n):
     return Morphism(rows + rows)
 
 
-def pushforward(f, x, validate=False, source=None, target=None):
+def pushforward(f, x, source=None, target=None):
     """Push the cycle x forward along the morphism f.
 
     Cells mapping to lower dimension are discarded; surviving images carry
     their lattice index as multiplicity.  Optional source/target cycles
-    restrict where x and its image may live.
+    restrict where x and its image may live; each one given is checked.
     """
     if not x.is_empty and x.ambient_dim != f.source_dim:
         raise TropicalGeometryError("cycle does not live in the source of the map")
-    if validate and source is not None and not support_covers(x, source):
+    if source is not None and not support_covers(x, source):
         raise TropicalGeometryError("cycle leaves the declared source support")
     out = pushforward_cycle(
         f.matrix, x, translation=f.translation, target_dim=f.target_dim
     )
-    if validate and target is not None and not support_covers(out, target):
+    if target is not None and not support_covers(out, target):
         raise TropicalGeometryError("image leaves the declared target support")
     return out
 
@@ -233,7 +233,7 @@ def intersect_cycles(d1, d2, ctx, validate_support=True):
     return out
 
 
-def pullback_cycle(f, c, ctx_source, ctx_target, validate=True):
+def pullback_cycle(f, c, ctx_source, ctx_target):
     """Pull the cycle c back along f relative to the two contexts.
 
     Computed as the first projection of Gamma_f . (X x c) inside the
@@ -244,12 +244,10 @@ def pullback_cycle(f, c, ctx_source, ctx_target, validate=True):
     y = ctx_target.ambient
     if f.source_dim != x.ambient_dim or f.target_dim != y.ambient_dim:
         raise TropicalGeometryError("morphism does not match the contexts")
-    if validate:
-        image = pushforward(f, x)
-        if not support_covers(image, y):
-            raise TropicalGeometryError("morphism does not map source into target")
-        if not c.is_empty and not ctx_target.covers(c):
-            raise TropicalGeometryError("cycle support leaves the target space")
+    if not support_covers(pushforward(f, x), y):
+        raise TropicalGeometryError("morphism does not map source into target")
+    if not c.is_empty and not ctx_target.covers(c):
+        raise TropicalGeometryError("cycle support leaves the target space")
     prod = product_context(ctx_source, ctx_target)
     g = graph(f, x)
     if g.is_empty or c.is_empty:

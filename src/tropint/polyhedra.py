@@ -4,17 +4,19 @@ Cells are kept in a canonical V-representation (vertices, primitive rays,
 HNF lineality basis, everything reduced modulo lineality) so that equality
 of cells is structural equality of the underlying sets.  The H-representation
 (facet inequalities and span equations of the homogenization) is derived
-once per cell and kept with it.  A cell cut out of inequalities already at
-hand (a face, an intersection, a cut or a product) takes its facets from
-them by incidence: they are the inequalities whose sets of tight generators
-are maximal among the proper ones.  Only a cell from bare generators
-(`make_cell`) runs an exact double description pass on the dual cone.
-Either way the vertices and rays are then picked from the generators by
-incidence with the facets, with no rank computed, and an integral vertex
-coordinate is stored as an int (a Fraction only where it is not
-integral).  Intersections and cuts by hyperplanes and halfspaces share
-one cut of the homogeneous generators (equations first, then
-inequalities).
+once per cell and kept with it.  Every cell picks its facets by incidence
+from candidate inequalities: they are the candidates whose sets of tight
+generators are maximal among the proper ones.  A cell cut out of
+inequalities already at hand (a face, an intersection, a cut or a
+product) takes them as candidates; a cell from bare generators
+(`make_cell`) takes the generators of its dual cone, from one exact
+double description pass.  The vertices and rays are then picked from the
+generators by incidence with the facets, so no rank is computed anywhere,
+and an integral vertex coordinate is stored as an int (a Fraction only
+where it is not integral).  The direction lattice of a cell is the
+integer kernel of its span equations.  Intersections and cuts by
+hyperplanes and halfspaces share one cut of the homogeneous generators
+(equations first, then inequalities).
 
 Containment of points, directions and cells is one test of homogeneous
 integer vectors against the H-representation; a contained cell is tested
@@ -51,10 +53,7 @@ from .exactmath import (
     integer_kernel,
     is_zero,
     lattice_index,
-    member_of_span,
     primitive_vector,
-    rank_int,
-    saturate,
     solve_integer,
     vec_dot,
     vec_int,
@@ -121,11 +120,6 @@ def _cut(rays, lin, eqs, ineqs):
         new.discard(None)
         rays = tuple(new)
     return rays, lin
-
-
-def _dual_generators(hgens, hlin, dim):
-    """Generators of {a : a.g >= 0 for g in hgens, a.l == 0 for l in hlin}."""
-    return _cut((), _unit_rows(dim), hlin, hgens)
 
 
 def _reduce_mod(v, basis):
@@ -290,16 +284,14 @@ class Cell:
         return self._relint
 
     def direction_lattice(self):
-        """HNF basis of the saturated lattice of directions along the cell."""
+        """HNF basis of the saturated lattice of directions along the cell:
+        the integer kernel of the span equations with t dropped, since r
+        is a direction along the cell iff (r, 0) lies in the span of the
+        homogenization."""
         if self._dirlat is None:
-            dirs = []
-            v0 = self.vertices[0]
-            for v in self.vertices[1:]:
-                w, _ = clear_denominators(tuple(a - b for a, b in zip(v, v0)))
-                dirs.append(w)
-            dirs.extend(self.rays)
-            dirs.extend(self.lineality)
-            self._dirlat = saturate(dirs, self.ambient_dim)
+            self._dirlat = integer_kernel(
+                [e[:-1] for e in self.hom_eqs], self.ambient_dim
+            )
         return self._dirlat
 
     def facet_cells(self):
@@ -343,32 +335,6 @@ def _intern(cell):
 def _empty_cell(ambient_dim):
     cell = Cell(ambient_dim, (), (), (), -1, (), ())
     return _intern(cell)
-
-
-def _facets_by_dual(hgens, hlin, eqs):
-    """Facet forms of cone(hgens) + span(hlin), reduced modulo span(eqs),
-    from the extreme rays of its dual cone; see _facets_by_incidence for
-    the dict returned."""
-    n1 = len(hgens[0])
-    drays, _ = _dual_generators(hgens, hlin, n1)
-    dual_rank = n1 - len(eqs)
-    facets = {}
-    for d in drays:
-        tight = [g for g in hgens if vec_dot(g, d) == 0] + list(hlin)
-        if rank_int(tight) == dual_rank - 1:
-            dd = _reduce_mod(d, eqs)
-            if dd is not None:
-                facets[dd] = _tight_mask(dd, hgens)
-    return facets
-
-
-def _tight_mask(f, hgens):
-    """Bitmask of the generators the form f vanishes on."""
-    mask = 0
-    for i, g in enumerate(hgens):
-        if vec_dot(f, g) == 0:
-            mask |= 1 << i
-    return mask
 
 
 def _facets_by_incidence(hgens, eqs, candidates):
@@ -441,19 +407,21 @@ def _extreme_generators(hgens, facet_masks, plin):
 def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
     """Canonical cell from homogeneous generators (last coordinate is t).
 
-    The facets come from a dual double description pass, unless
-    `candidates` is given: a callable, run only when the cell is not in
-    the build memo, returning homogeneous forms that are nonnegative on
-    every generator, vanish on the lineality and include an inequality
-    defining every facet of cone(hgens) + span(hlin).  Every facet of a
-    polyhedron cut out by an inequality system is defined by one of them,
-    so a cell cut from known inequalities has such a set: the parent's
-    facets for `Cell.facet_cells` and `Cell.face_at`, the facets of both
-    cells for `intersect_cells`, the cell's facets and the cut forms for
-    `cut_cell_by_hom_forms` (and the cuts of `assemble_cycle`), and the
-    zero-padded facets of the factors for `cross_cells`.  Only cells from
-    bare generators (`make_cell`, hence `map_cell`, `cone_from_generators`,
-    `star_cell` and parsing) run the dual pass.
+    The facets are picked by incidence (`_facets_by_incidence`) from
+    candidate forms that are nonnegative on every generator, vanish on
+    the lineality and include an inequality defining every facet of
+    cone(hgens) + span(hlin).  `candidates` is a callable, run only when
+    the cell is not in the build memo, returning such forms.  Every facet
+    of a polyhedron cut out by an inequality system is defined by one of
+    them, so a cell cut from known inequalities has such a set: the
+    parent's facets for `Cell.facet_cells` and `Cell.face_at`, the facets
+    of both cells for `intersect_cells`, the cell's facets and the cut
+    forms for `cut_cell_by_hom_forms` (and the cuts of `assemble_cycle`),
+    and the zero-padded facets of the factors for `cross_cells`.  A cell
+    from bare generators (`make_cell`, hence `map_cell`,
+    `cone_from_generators`, `star_cell` and parsing) passes no candidates;
+    the generators of its dual cone, from one double description pass,
+    stand in for them, since every facet is an extreme ray of the dual.
 
     Vertices and rays are the generators that span extreme rays, found by
     incidence with the facets (`_extreme_generators`), with no rank test.
@@ -471,9 +439,10 @@ def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
         return got
     eqs = integer_kernel(hgens + hlin, n1)
     if candidates is None:
-        facet_masks = _facets_by_dual(hgens, hlin, eqs)
+        forms, _ = _cut((), _unit_rows(n1), hlin, hgens)
     else:
-        facet_masks = _facets_by_incidence(hgens, eqs, candidates())
+        forms = candidates()
+    facet_masks = _facets_by_incidence(hgens, eqs, forms)
     facets = tuple(sorted(facet_masks))
     plin = integer_kernel(list(facets) + list(eqs), n1)
     for l in plin:
@@ -1172,7 +1141,8 @@ def stellar_subdivide(x, ray):
         raise TropicalGeometryError("ray does not lie in the support")
     items = []
     for sigma, w in x.cells:
-        if not sigma.contains_direction(ray) or member_of_span(sigma.lineality, ray):
+        in_lineality = _reduce_mod(ray, sigma.lineality) is None
+        if in_lineality or not sigma.contains_direction(ray):
             items.append((sigma, w))
             continue
         for child, _ in sigma.facet_cells():

@@ -2,6 +2,8 @@
 
 The HNF oracle below is an independent implementation (pairwise extended
 euclid, no transform tracking) used to cross-check the canonical form.
+`frac_rank` and `frac_det` are plain Fraction eliminations, the rank and
+determinant references of every test module.
 """
 
 import random
@@ -10,17 +12,12 @@ from math import gcd
 
 from tropint.exactmath import (
     clear_denominators,
-    det_int,
     hnf,
     hnf_basis,
     integer_kernel,
     lattice_index,
-    member_of_span,
     primitive_vector,
-    rank_int,
-    saturate,
     solve_integer,
-    solve_rational,
     vec_dot,
     vec_int,
 )
@@ -109,9 +106,9 @@ def random_matrix(rng, m, n, lo=-9, hi=9):
     return tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(m))
 
 
-def awkward_matrix(rng, m, n, fractions=True):
-    """Random matrix that is often rank deficient, has zero columns (which
-    force a skipped pivot) and, if asked, Fraction entries."""
+def awkward_matrix(rng, m, n):
+    """Random matrix that is often rank deficient and has zero columns
+    (which force a skipped pivot)."""
     mat = [list(r) for r in random_matrix(rng, m, n, -5, 5)]
     if m > 1 and rng.random() < 0.5:
         i, j = rng.sample(range(m), 2)
@@ -121,8 +118,6 @@ def awkward_matrix(rng, m, n, fractions=True):
         col = rng.randrange(n)
         for row in mat:
             row[col] = 0
-    if fractions:
-        mat = [[Fraction(x, rng.choice((1, 1, 2, 3))) for x in row] for row in mat]
     return tuple(tuple(r) for r in mat)
 
 
@@ -180,23 +175,40 @@ def test_hnf_matches_oracle_and_transform():
         assert abs(frac_det(u)) == 1
 
 
+def hnf_pivot_product(rows):
+    """Product of the pivots of the HNF of a square matrix, 0 when it is
+    singular."""
+    basis = hnf_basis(rows)
+    if len(basis) < len(rows):
+        return 0
+    out = 1
+    for i, row in enumerate(basis):
+        out *= row[i]
+    return out
+
+
 def test_rank_and_det():
-    assert rank_int(((1, 2), (2, 4))) == 1
-    assert rank_int(()) == 0
-    assert det_int(((3, 1), (1, 2))) == 5
+    """The HNF gives the rank (its nonzero rows) and |det| (the product of
+    its pivots), checked against the Fraction references."""
+    assert frac_rank(((1, 2), (2, 4))) == 1
+    assert frac_rank(()) == 0
+    assert frac_det(((3, 1), (1, 2))) == 5
+    assert frac_det(()) == 1
+    assert len(hnf_basis(((1, 2), (2, 4)))) == 1
+    assert hnf_pivot_product(((3, 1), (1, 2))) == 5
     rng = random.Random(7)
     for _ in range(60):
         n = rng.randint(1, 5)
         mat = random_matrix(rng, n, n)
-        assert det_int(mat) == frac_det(mat)
+        assert hnf_pivot_product(mat) == abs(frac_det(mat))
     rng = random.Random(71)
     for _ in range(150):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         mat = awkward_matrix(rng, m, n)
-        assert rank_int(mat) == frac_rank(mat)
-        square = awkward_matrix(rng, n, n, fractions=False)
-        assert det_int(square) == frac_det(square)
+        assert len(hnf_basis(mat)) == frac_rank(mat)
+        square = awkward_matrix(rng, n, n)
+        assert hnf_pivot_product(square) == abs(frac_det(square))
 
 
 def test_integer_kernel_properties():
@@ -206,57 +218,17 @@ def test_integer_kernel_properties():
         n = rng.randint(1, 5)
         mat = random_matrix(rng, m, n, -6, 6)
         ker = integer_kernel(mat, n)
-        assert len(ker) == n - rank_int(mat)
+        assert len(ker) == n - frac_rank(mat)
         for v in ker:
             assert all(vec_dot(row, v) == 0 for row in mat)
         if ker:
-            assert rank_int(ker) == len(ker)
+            assert frac_rank(ker) == len(ker)
             # saturation: primitive combinations stay inside
             combo = ker[0]
             assert vec_dot(combo, combo) > 0
     assert integer_kernel((), 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     # saturated: kernel of (1, 1) contains (1, -1), not just (2, -2)
     assert integer_kernel(((2, 2),), 2) == ((1, -1),)
-
-
-def test_saturate():
-    assert saturate(((2, 0, 0), (0, 3, 3)), 3) == ((1, 0, 0), (0, 1, 1))
-    assert saturate(((2, 4),), 2) == ((1, 2),)
-    assert saturate((), 3) == ()
-    full = saturate(((1, 0), (1, 1)), 2)
-    assert full == ((1, 0), (0, 1))
-
-
-def test_solve_rational():
-    x, ker = solve_rational(((1, 2), (3, 4)), (5, 6))
-    assert x == (Fraction(-4), Fraction(9, 2))
-    assert ker == ()
-    assert solve_rational(((1, 1), (2, 2)), (1, 3)) is None
-    x, ker = solve_rational(((1, 1, 1),), (3,))
-    assert sum(x) == 3 and len(ker) == 2
-    for v in ker:
-        assert sum(v) == 0
-    rng = random.Random(17)
-    for _ in range(150):
-        m = rng.randint(1, 5)
-        n = rng.randint(1, 5)
-        mat = awkward_matrix(rng, m, n)
-        if rng.random() < 0.5:
-            xs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-            rhs = tuple(vec_dot(row, xs) for row in mat)
-        else:
-            rhs = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in mat)
-        rank = frac_rank(mat)
-        got = solve_rational(mat, rhs)
-        if got is None:
-            assert frac_rank([r + (b,) for r, b in zip(mat, rhs)]) > rank
-            continue
-        x, ker = got
-        assert all(vec_dot(row, x) == b for row, b in zip(mat, rhs))
-        assert len(ker) == n - rank
-        assert frac_rank(ker) == len(ker)
-        for v in ker:
-            assert all(vec_dot(row, v) == 0 for row in mat)
 
 
 def test_solve_integer():
@@ -276,24 +248,6 @@ def test_solve_integer():
         assert all(vec_dot(row, got) == rhs[i] for i, row in enumerate(mat))
 
 
-def test_member_of_span():
-    assert member_of_span(((1, 0, 1), (0, 1, 1)), (2, 3, 5))
-    assert not member_of_span(((1, 0, 1), (0, 1, 1)), (0, 0, 1))
-    assert member_of_span((), (0, 0))
-    assert not member_of_span((), (1, 0))
-    rng = random.Random(23)
-    for _ in range(150):
-        k = rng.randint(1, 4)
-        n = rng.randint(1, 5)
-        rows = awkward_matrix(rng, k, n)
-        if rng.random() < 0.5:
-            cs = [rng.randint(-3, 3) for _ in range(k)]
-            v = tuple(sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n))
-        else:
-            v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n))
-        assert member_of_span(rows, v) == (frac_rank(rows + (v,)) == frac_rank(rows))
-
-
 def test_lattice_index():
     assert lattice_index(((2, 0), (0, 1)), ((1, 0), (0, 1))) == 2
     assert lattice_index(((1, 1), (1, -1)), ((1, 0), (0, 1))) == 2
@@ -306,6 +260,34 @@ def test_lattice_index():
     # same span and determinant ratio 1, but (1, 0) is not in 2Z x Z
     with pytest.raises(ValueError):
         lattice_index(((1, 0), (0, 2)), ((2, 0), (0, 1)))
+    # a dependent first family
+    with pytest.raises(ValueError):
+        lattice_index(((2, 0), (4, 0)), ((1, 0), (0, 1)))
+
+
+def test_lattice_index_of_random_sublattices():
+    """The sublattice C B of the lattice of a basis B has index |det C|;
+    B spans a random subspace and is given scrambled, not in HNF."""
+    rng = random.Random(31)
+    tried = 0
+    while tried < 80:
+        r = rng.randint(1, 4)
+        n = rng.randint(r, 5)
+        basis = random_matrix(rng, r, n, -4, 4)
+        if frac_rank(basis) < r:
+            continue
+        coeffs = random_matrix(rng, r, r, -3, 3)
+        det = frac_det(coeffs)
+        sub = tuple(
+            tuple(sum(c * b[j] for c, b in zip(row, basis)) for j in range(n))
+            for row in coeffs
+        )
+        if det == 0:
+            with pytest.raises(ValueError):
+                lattice_index(sub, basis)
+        else:
+            assert lattice_index(sub, basis) == abs(det)
+        tried += 1
 
 
 def test_hnf_basis_canonical_for_equal_lattices():

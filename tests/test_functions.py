@@ -193,6 +193,11 @@ def test_ray_function_values():
     assert zero.value((-4, 0)) == 0
     with pytest.raises(TropicalGeometryError):
         ray_function(plane_cycle(), {})  # not pointed
+    # a value off the rays would be dropped: a multiple of a ray and
+    # vectors outside the support are refused
+    for off in ((2, 2), (-2, 0), (-1, -1)):
+        with pytest.raises(TropicalGeometryError, match=r"\(%d, %d\)" % off):
+            ray_function(fan, {(1, 1): 1, off: 1})
 
 
 def test_kink_function_on_subdivided_fan():

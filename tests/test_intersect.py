@@ -220,9 +220,12 @@ def test_pushforward_support_validation():
     l21 = build_lnk(2, 1)
     p = Morphism([(1, 0)])
     with pytest.raises(TropicalGeometryError):
-        pushforward(p, l21, validate=True, target=point((0,)))
-    out = pushforward(p, l21, validate=True, target=line_through((1,)))
+        pushforward(p, l21, target=point((0,)))
+    out = pushforward(p, l21, target=line_through((1,)))
     assert not out.is_empty
+    with pytest.raises(TropicalGeometryError):
+        pushforward(p, l21, source=point((0, 0)))
+    assert cycles_equal(pushforward(p, l21, source=l21), out)
 
 
 def test_graph_examples():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tropint.exactmath import det_int
+from test_exactmath import frac_det
 from tropint.functions import UnbalancedCycleError, divisor
 from tropint.intersect import AmbientContext
 from tropint.linspace import (
@@ -92,7 +92,7 @@ def test_fnk_counts_and_refinement():
 def test_fnn_unimodular():
     for n in range(1, 4):
         for cone in build_fnk(n, n).maximal:
-            assert abs(det_int(cone.rays)) == 1
+            assert abs(frac_det(cone.rays)) == 1
 
 
 def test_fnn_never_mixes_top_rays():

@@ -5,7 +5,8 @@ against generator data, must agree with the H-representation the double
 description pass produces, and intersections must agree pointwise.  Cells
 that take their facets by incidence from candidate inequalities (faces,
 intersections, cuts, products) must equal the dual pass's build of the
-same generators.
+same generators, and the facets the dual pass picks by incidence must be
+those a rank test picks from the dual cone's generators.
 """
 
 import itertools
@@ -15,13 +16,13 @@ from fractions import Fraction
 
 import pytest
 
+from test_exactmath import frac_rank
 from tropint import polyhedra
 from tropint.exactmath import (
     _unit_rows,
+    clear_denominators,
     integer_kernel,
-    member_of_span,
     primitive_vector,
-    rank_int,
     vec_dot,
     vec_neg,
 )
@@ -38,7 +39,6 @@ from tropint.polyhedra import (
     _hyperplane_key,
     _missed_sides,
     _reduce_mod,
-    _tight_mask,
     add_cycles,
     check_cover,
     clear_caches,
@@ -424,6 +424,12 @@ def test_stellar_subdivision():
     assert again == sub
     with pytest.raises(TropicalGeometryError):
         stellar_subdivide(quad, (-1, 0))
+    # a ray in the lineality leaves the cone whole; one off it subdivides
+    wedge = cone_from_generators(3, [(1, 0, 0), (0, 1, 0)], [(0, 0, 1)])
+    prism = make_cycle(3, 3, [(wedge, 1)])
+    assert stellar_subdivide(prism, (0, 0, -2)) == prism
+    split = stellar_subdivide(prism, (1, 1, 5))
+    assert len(split.cells) == 2 and cycles_equal(split, prism)
 
 
 def test_common_refinement_and_cover():
@@ -698,13 +704,55 @@ def cell_data(cell):
     return cell.key(), cell.dim, cell.hom_facets, cell.hom_eqs
 
 
+def tight_mask(f, hgens):
+    """Bitmask of the generators the form f vanishes on."""
+    mask = 0
+    for i, g in enumerate(hgens):
+        if vec_dot(f, g) == 0:
+            mask |= 1 << i
+    return mask
+
+
+def facets_by_rank(hgens, hlin):
+    """Reference for the facet pick of a build from bare generators: a
+    generator d of the dual cone spans an extreme ray, so defines a facet,
+    iff the generators tight on d, with the lineality, have rank one less
+    than the cone.  Each facet form is reduced modulo the span equations."""
+    hgens = tuple(g for g in hgens if any(g))
+    hlin = tuple(l for l in hlin if any(l))
+    n1 = len(hgens[0])
+    eqs = integer_kernel(hgens + hlin, n1)
+    rank = n1 - len(eqs)
+    drays, _ = polyhedra._cut((), _unit_rows(n1), hlin, hgens)
+    facets = set()
+    for d in drays:
+        tight = [g for g in hgens if vec_dot(g, d) == 0] + list(hlin)
+        if frac_rank(tight) == rank - 1:
+            facets.add(_reduce_mod(d, eqs))
+    facets.discard(None)
+    return tuple(sorted(facets))
+
+
+def checked_bare_build(ambient_dim, hgens, hlin):
+    """The build without candidates, its facets checked against the rank
+    test on the dual cone's generators."""
+    cell = _build_from_hom(ambient_dim, hgens, hlin)
+    if not cell.is_empty:
+        assert cell.hom_facets == facets_by_rank(hgens, hlin)
+    return cell
+
+
 def both_ways(ambient_dim, hgens, hlin, forms):
     """The cell built from candidate facets, and the one the dual pass
-    builds from the same generators; a rejected build reads as its error."""
+    builds from the same generators (checked against the rank test); a
+    rejected build reads as its error."""
     out = []
-    for candidates in (lambda: forms, None):
+    for build in (
+        lambda: _build_from_hom(ambient_dim, hgens, hlin, lambda: forms),
+        lambda: checked_bare_build(ambient_dim, hgens, hlin),
+    ):
         try:
-            cell = fresh(lambda: _build_from_hom(ambient_dim, hgens, hlin, candidates))
+            cell = fresh(build)
         except VerificationError as exc:
             out.append(type(exc))
         else:
@@ -728,7 +776,7 @@ def extremes_by_rank(hgens, facets, plin):
     out = set()
     for g in hgens:
         tight = [f for f in facets if vec_dot(f, g) == 0] + list(eqs)
-        if rank_int(tight) == primal_rank - 1:
+        if frac_rank(tight) == primal_rank - 1:
             out.add(_reduce_mod(g, plin))
     return out
 
@@ -742,7 +790,7 @@ def extremes_checked(monkeypatch):
 
     def checking(hgens, facet_masks, plin):
         for f, mask in facet_masks.items():
-            assert mask == _tight_mask(f, hgens)
+            assert mask == tight_mask(f, hgens)
         got = pick(hgens, facet_masks, plin)
         assert set(got) == extremes_by_rank(hgens, tuple(facet_masks), plin)
         picks.append(len(hgens))
@@ -755,25 +803,31 @@ def extremes_checked(monkeypatch):
 @pytest.fixture
 def dual_checked(monkeypatch, extremes_checked):
     """Compare every build that is given candidate facets with the dual
-    double description of the same generators, and every pick of extreme
-    generators with the rank test.  Returns the list of (checked,
-    generator count) for every build given candidate facets."""
+    double description of the same generators, the facets of every build
+    without candidates with the rank test on the dual cone's generators,
+    and every pick of extreme generators with the rank test.  Returns the
+    list of (checked, generator count) for every build given candidate
+    facets."""
     build = polyhedra._build_from_hom
     builds = []
+    bare = []
 
     def checking(ambient_dim, hgens, hlin, candidates=None):
-        if candidates is not None:
-            small = len(hgens) <= DUAL_PASS_LIMIT
-            if small:
-                got, want = both_ways(ambient_dim, hgens, hlin, tuple(candidates()))
-                assert got == want
-            builds.append((small, len(hgens)))
+        if candidates is None:
+            bare.append(len(hgens))
+            return checked_bare_build(ambient_dim, hgens, hlin)
+        small = len(hgens) <= DUAL_PASS_LIMIT
+        if small:
+            got, want = both_ways(ambient_dim, hgens, hlin, tuple(candidates()))
+            assert got == want
+        builds.append((small, len(hgens)))
         return build(ambient_dim, hgens, hlin, candidates)
 
     monkeypatch.setattr(polyhedra, "_build_from_hom", checking)
     yield builds
     # each checked build ran twice from scratch, by incidence and dually
     assert len(extremes_checked) >= 2 * checked_count(builds)
+    assert bare
 
 
 def checked_count(builds):
@@ -822,7 +876,7 @@ def test_cuts_by_incidence_match_the_dual_pass(dual_checked):
 
 def full_recession(cell):
     """True iff the recession cone has the dimension of the cell."""
-    return rank_int(cell.rays + cell.lineality) == cell.dim
+    return frac_rank(cell.rays + cell.lineality) == cell.dim
 
 
 def has_t_facet(cell):
@@ -928,10 +982,14 @@ def test_builds_from_known_cells_run_no_dual_pass(monkeypatch):
     rng = random.Random(3030)
     cells = {n: [random_cell(rng, n) for _ in range(8)] for n in (2, 3)}
     calls = []
-    dual = polyhedra._dual_generators
-    monkeypatch.setattr(
-        polyhedra, "_dual_generators", lambda *args: calls.append(args) or dual(*args)
-    )
+    cut = polyhedra._cut
+
+    def counting(rays, *args):
+        if not rays:  # the dual pass cuts the whole space
+            calls.append(args)
+        return cut(rays, *args)
+
+    monkeypatch.setattr(polyhedra, "_cut", counting)
     memo_size = len(_BUILD_MEMO)
     for n, found in cells.items():
         found = [c for c in found if not c.is_empty]
@@ -950,6 +1008,17 @@ def test_builds_from_known_cells_run_no_dual_pass(monkeypatch):
     # the same count sees the dual pass of a cell from bare generators
     make_cell(2, vertices=[(0, 0), (5, 0), (0, 7)])
     assert len(calls) == 1
+
+
+def test_cube_facets_match_the_rank_test():
+    """The 4-cube from its 16 vertices, and again with its centre as a
+    redundant last generator: the dual pass gives its 8 facets."""
+    corners = list(itertools.product((0, 1), repeat=4))
+    cube = fresh(lambda: make_cell(4, corners))
+    assert len(cube.hom_facets) == 8 and len(cube.vertices) == 16
+    assert cube.hom_facets == facets_by_rank(cube.hom_gens(), ())
+    hgens = cube.hom_gens() + ((1, 1, 1, 1, 2),)
+    assert fresh(lambda: checked_bare_build(4, hgens, ())) == cube
 
 
 # -- extreme generators by incidence against the rank test ----------------
@@ -1002,7 +1071,7 @@ def test_extreme_generators_by_incidence_match_the_rank_test():
             lin = cell.hom_lin()
             assert lin
             for hgens in (cell.hom_gens(), messy_generators(rng, cell)):
-                masks = {f: _tight_mask(f, hgens) for f in cell.hom_facets}
+                masks = {f: tight_mask(f, hgens) for f in cell.hom_facets}
                 got = _extreme_generators(hgens, masks, lin)
                 assert set(got) == extremes_by_rank(hgens, cell.hom_facets, lin)
                 assert set(got) == set(cell.hom_gens())
@@ -1027,6 +1096,42 @@ def test_extreme_generators_skip_the_lineality(extremes_checked):
     assert fresh(lambda: _build_from_hom(3, hgens, plane.hom_lin())) == plane
     # the two cells from make_cell, then the three builds above
     assert len(extremes_checked) == 5
+
+
+# -- direction lattices from span equations -------------------------------
+
+
+def saturated_span_of_generators(cell):
+    """Reference for Cell.direction_lattice: the lattice of integer points
+    in the span of the vertex differences, rays and lineality, as the
+    kernel of its integer kernel."""
+    n = cell.ambient_dim
+    v0 = cell.vertices[0]
+    dirs = [
+        clear_denominators(tuple(a - b for a, b in zip(v, v0)))[0]
+        for v in cell.vertices[1:]
+    ]
+    dirs = [d for d in dirs + list(cell.rays + cell.lineality) if any(d)]
+    if not dirs:
+        return ()
+    ker = integer_kernel(dirs, n)
+    return integer_kernel(ker, n) if ker else _unit_rows(n)
+
+
+def test_direction_lattice_is_the_saturated_span_of_the_generators():
+    rng = random.Random(9191)
+    tried = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(12):
+            for cell in (random_cell(rng, n), cell_with_lineality(rng, n)):
+                if cell.is_empty:
+                    continue
+                for face in Complex(n, [cell]).all_cells():
+                    got = face.direction_lattice()
+                    assert got == saturated_span_of_generators(face)
+                    assert len(got) == face.dim
+                    tried += 1
+    assert tried >= 250
 
 
 # -- vertex coordinates: ints where integral, Fractions elsewhere (every
@@ -1078,7 +1183,8 @@ def balanced_by_span_membership(x):
             u = lattice_normal(cells[idx], tau, form)
             for i in range(x.ambient_dim):
                 total[i] += x.cells[idx][1] * u[i]
-        if not member_of_span(tau.direction_lattice(), tuple(total)):
+        dirs = tau.direction_lattice()
+        if frac_rank(dirs + (tuple(total),)) != frac_rank(dirs):
             return False
     return True
 
