@@ -121,14 +121,13 @@ class AmbientContext:
     the geometric check run by intersect_cycles and by the CLI's --verify.
     """
 
-    __slots__ = ("ambient", "stages", "label", "verified", "_support_ok")
+    __slots__ = ("ambient", "stages", "label", "verified")
 
     def __init__(self, ambient, stages, label=None):
         self.ambient = ambient
         self.stages = tuple(stages)
         self.label = label
         self.verified = False
-        self._support_ok = set()
 
     def verify(self):
         got = self.apply_diagonal(cross(self.ambient, self.ambient))
@@ -147,12 +146,7 @@ class AmbientContext:
         return z
 
     def covers(self, x):
-        if x in self._support_ok:
-            return True
-        ok = support_covers(x, self.ambient)
-        if ok:
-            self._support_ok.add(x)
-        return ok
+        return support_covers(x, self.ambient)
 
 
 def _representation_context(key, build):
@@ -206,7 +200,7 @@ def product_context(cx, cy):
     return out
 
 
-def intersect_cycles(d1, d2, ctx, validate_support=True):
+def intersect_cycles(d1, d2, ctx):
     """The stable intersection of d1 and d2 inside the context's ambient.
 
     Crosses the cycles, applies the diagonal representation, and pushes
@@ -219,8 +213,14 @@ def intersect_cycles(d1, d2, ctx, validate_support=True):
         return empty_cycle(n)
     if d1.ambient_dim != n or d2.ambient_dim != n:
         raise TropicalGeometryError("cycles do not live in the ambient space")
-    if validate_support and not (ctx.covers(d1) and ctx.covers(d2)):
+    if not (ctx.covers(d1) and ctx.covers(d2)):
         raise TropicalGeometryError("cycle support leaves the ambient space")
+    return _intersect(d1, d2, ctx)
+
+
+def _intersect(d1, d2, ctx):
+    """intersect_cycles of nonempty cycles that lie in the ambient."""
+    n = ctx.ambient.ambient_dim
     expected = d1.dim + d2.dim - ctx.ambient.dim
     if expected < 0:
         return empty_cycle(n)
@@ -252,6 +252,6 @@ def pullback_cycle(f, c, ctx_source, ctx_target):
     g = graph(f, x)
     if g.is_empty or c.is_empty:
         return empty_cycle(x.ambient_dim)
-    z = intersect_cycles(g, cross(x, c), prod, validate_support=False)
+    z = _intersect(g, cross(x, c), prod)
     rows = _unit_rows(x.ambient_dim, x.ambient_dim + y.ambient_dim)
     return pushforward_cycle(rows, z, target_dim=x.ambient_dim)

@@ -6,17 +6,19 @@ of cells is structural equality of the underlying sets.  The H-representation
 (facet inequalities and span equations of the homogenization) is derived
 once per cell and kept with it.  Every cell picks its facets by incidence
 from candidate inequalities: they are the candidates whose sets of tight
-generators are maximal among the proper ones.  A cell cut out of
-inequalities already at hand (a face, an intersection, a cut or a
-product) takes them as candidates; a cell from bare generators
-(`make_cell`) takes the generators of its dual cone, from one exact
-double description pass.  The vertices and rays are then picked from the
-generators by incidence with the facets, so no rank is computed anywhere,
-and an integral vertex coordinate is stored as an int (a Fraction only
-where it is not integral).  The direction lattice of a cell is the
-integer kernel of its span equations.  Intersections and cuts by
-hyperplanes and halfspaces share one cut of the homogeneous generators
-(equations first, then inequalities).
+generators are maximal among the proper ones.  There is one double
+description step, `_cut`: it combines two generators across a form only
+when they are adjacent, so it returns exactly the extreme generators.  A
+cell cut out of inequalities already at hand (a face, an intersection, a
+cut or a product) takes them as candidates and comes with its extreme
+generators; a cell from bare generators (`make_cell`) takes the
+generators of its dual cone, from a cut of the whole space, and its
+vertices and rays from a cut of the halfspace t >= 0 by its facets.  No
+rank is computed anywhere, and an integral vertex coordinate is stored as
+an int (a Fraction only where it is not integral).  The direction lattice
+of a cell is the integer kernel of its span equations.  Intersections and
+cuts by hyperplanes and halfspaces share the cut of the homogeneous
+generators (equations first, then inequalities).
 
 Containment of points, directions and cells is one test of homogeneous
 integer vectors against the H-representation; a contained cell is tested
@@ -44,9 +46,9 @@ Conventions:
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .exactmath import (
-    _lattice_coords,
     _pivot_col,
     _unit_rows,
     clear_denominators,
@@ -86,40 +88,71 @@ def _onto(a, v, pivot):
     """(a.pivot) v - (a.v) pivot made primitive, or None when it is zero.
 
     The result lies on a = 0; for a.pivot > 0 it is a positive multiple of
-    v plus a multiple of pivot.
+    v plus a multiple of pivot, and v itself when v is primitive and
+    already on a = 0 (every generator `_cut` holds is primitive).
     """
-    pa, d = vec_dot(a, pivot), vec_dot(a, v)
+    d = vec_dot(a, v)
+    if d == 0:
+        return v
+    pa = vec_dot(a, pivot)
     w = tuple(pa * x - d * y for x, y in zip(v, pivot))
     return None if is_zero(w) else primitive_vector(w)
 
 
-def _cut(rays, lin, eqs, ineqs):
+def _cut(rays, lin, facets, eqs, ineqs):
     """Generators of cone(rays) + span(lin) cut by {e.x == 0 for e in eqs}
-    and then by {f.x >= 0 for f in ineqs}, one form at a time."""
+    and then by {f.x >= 0 for f in ineqs}, one form at a time.
+
+    `rays` spans the extreme rays of the cone modulo span(lin), one
+    generator each, and `facets` holds inequalities defining the cone,
+    every facet among them; the returned rays span the extreme rays of
+    the cut cone in the same way.  This is the double description method
+    (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996):
+    every ray keeps the bitmask of the forms it is tight on, the facets
+    first and then each form cut by, and a ray on the positive side of a
+    form is combined with one on the negative side only when they are
+    adjacent, that is when no third ray is tight on every form that is
+    tight on both.  A facet missing from `facets` would make that test
+    too strict and drop extreme rays.
+    """
+    gens = {
+        r: sum(1 << j for j, f in enumerate(facets) if vec_dot(f, r) == 0) for r in rays
+    }
+    bit = 1 << len(facets)
     for k, a in enumerate(tuple(eqs) + tuple(ineqs)):
         equality = k < len(eqs)
         pivot = next((l for l in lin if vec_dot(a, l) != 0), None)
         if pivot is not None:
             # slide every generator onto a = 0 along a lineality direction
-            # crossing it; for a halfspace that direction becomes a ray
+            # crossing it; for a halfspace that direction becomes a ray,
+            # tight on every earlier form since they vanish on the lineality
             if vec_dot(a, pivot) < 0:
                 pivot = vec_neg(pivot)
-            new = {_onto(a, r, pivot) for r in rays}
+            new = {_onto(a, r, pivot): mask | bit for r, mask in gens.items()}
             lin = tuple(w for w in (_onto(a, l, pivot) for l in lin) if w is not None)
             if not equality:
-                new.add(pivot)
+                new[pivot] = bit - 1
         else:
-            pos, zero, neg = [], [], []
-            for r in rays:
+            new, pos, neg = {}, [], []
+            for r, mask in gens.items():
                 d = vec_dot(a, r)
-                (pos if d > 0 else zero if d == 0 else neg).append(r)
-            if not equality and not neg:
-                continue
-            new = set(zero) if equality else set(pos) | set(zero)
-            new.update(_onto(a, m, p) for p in pos for m in neg)
-        new.discard(None)
-        rays = tuple(new)
-    return rays, lin
+                if d == 0:
+                    new[r] = mask | bit
+                elif d < 0:
+                    neg.append((r, mask))
+                else:
+                    pos.append((r, mask))
+                    if not equality:
+                        new[r] = mask
+            masks = gens.values()
+            for p, pmask in pos:
+                for m, mmask in neg:
+                    both = pmask & mmask
+                    if sum(mask & both == both for mask in masks) == 2:
+                        new[_onto(a, m, p)] = both | bit
+        gens = new
+        bit <<= 1
+    return tuple(gens), lin
 
 
 def _reduce_mod(v, basis):
@@ -339,15 +372,13 @@ def _empty_cell(ambient_dim):
 
 def _facets_by_incidence(hgens, eqs, candidates):
     """Facet forms of the cone of the generators (plus a lineality space
-    the candidates vanish on), reduced modulo span(eqs), picked from valid
-    inequalities that include one defining each facet.
+    the candidates vanish on), reduced modulo span(eqs) and sorted, picked
+    from valid inequalities that include one defining each facet.
 
     A candidate defines the face spanned by the generators it vanishes on,
     and faces are ordered by those sets: the facets are the candidates
     whose sets are maximal among the proper ones.  A candidate vanishing
     on every generator is an implicit equality and defines no facet.
-    Returns a dict from each facet form to the bitmask of the generators
-    it is tight on.
     """
     full = (1 << len(hgens)) - 1
     faces = {}
@@ -365,43 +396,7 @@ def _facets_by_incidence(hgens, eqs, candidates):
     for mask in sorted(faces, key=int.bit_count, reverse=True):
         if all(mask & m != mask for m in maximal):
             maximal.append(mask)
-    return {_reduce_mod(faces[m], eqs): m for m in maximal}
-
-
-def _extreme_generators(hgens, facet_masks, plin):
-    """The generators spanning extreme rays of cone(hgens) + span(plin)
-    modulo its lineality span(plin), each reduced modulo span(plin).
-
-    The smallest face containing a generator g is cut out by the facets
-    tight on g, and holds exactly the generators tight on all of them
-    (`facet_masks` maps each facet form to the bitmask of the generators
-    it is tight on).  g spans an extreme ray iff every generator in that
-    face outside the lineality reduces to the same vector as g: the face
-    is then a single ray modulo the lineality.  Generators in the
-    lineality are skipped.  This is the combinatorial test of Fukuda and
-    Prodon (1996); no rank is computed.
-    """
-    masks = tuple(facet_masks.values())
-    reduced = [_reduce_mod(g, plin) for g in hgens]
-    out = []
-    for i, gi in enumerate(reduced):
-        if gi is None:
-            continue
-        bit = 1 << i
-        face = -1
-        for m in masks:
-            if m & bit:
-                face &= m
-        face &= (1 << len(hgens)) - 1 - bit
-        while face:
-            low = face & -face
-            gj = reduced[low.bit_length() - 1]
-            if gj is not None and gj != gi:
-                break
-            face ^= low
-        else:
-            out.append(gi)
-    return out
+    return tuple(sorted(_reduce_mod(faces[m], eqs) for m in maximal))
 
 
 def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
@@ -417,16 +412,20 @@ def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
     parent's facets for `Cell.facet_cells` and `Cell.face_at`, the facets
     of both cells for `intersect_cells`, the cell's facets and the cut
     forms for `cut_cell_by_hom_forms` (and the cuts of `assemble_cycle`),
-    and the zero-padded facets of the factors for `cross_cells`.  A cell
-    from bare generators (`make_cell`, hence `map_cell`,
-    `cone_from_generators`, `star_cell` and parsing) passes no candidates;
-    the generators of its dual cone, from one double description pass,
-    stand in for them, since every facet is an extreme ray of the dual.
+    and the zero-padded facets of the factors for `cross_cells`.  Those
+    cells come with their extreme generators, one per extreme ray modulo
+    the lineality (a face keeps the parent's generators on it, `_cut`
+    returns only extreme ones, and a product pairs its factors'), so they
+    are only reduced modulo the lineality.
 
-    Vertices and rays are the generators that span extreme rays, found by
-    incidence with the facets (`_extreme_generators`), with no rank test.
-    This is the one place that makes canonical vertices: an integral
-    coordinate is stored as an int and any other as a Fraction.
+    A cell from bare generators (`make_cell`, hence `map_cell`,
+    `cone_from_generators`, `star_cell` and parsing) passes no candidates
+    and may repeat generators or list redundant ones.  Its facets are the
+    extreme rays of the dual cone, from one `_cut` of the whole space by
+    the generators; its vertices and rays are the extreme rays of a
+    second `_cut`, of the halfspace t >= 0 by those facets and the span
+    equations.  This is the one place that makes canonical vertices: an
+    integral coordinate is stored as an int and any other as a Fraction.
     """
     n1 = ambient_dim + 1
     hgens = tuple(g for g in hgens if not is_zero(g))
@@ -439,35 +438,34 @@ def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
         return got
     eqs = integer_kernel(hgens + hlin, n1)
     if candidates is None:
-        forms, _ = _cut((), _unit_rows(n1), hlin, hgens)
+        forms, _ = _cut((), _unit_rows(n1), (), hlin, hgens)
     else:
         forms = candidates()
-    facet_masks = _facets_by_incidence(hgens, eqs, forms)
-    facets = tuple(sorted(facet_masks))
-    plin = integer_kernel(list(facets) + list(eqs), n1)
+    facets = _facets_by_incidence(hgens, eqs, forms)
+    plin = integer_kernel(facets + eqs, n1)
     for l in plin:
         if l[-1] != 0:
             raise VerificationError("lineality escaped the homogenization slice")
+    if candidates is None:
+        t = _unit_rows(1, n1, ambient_dim)
+        hgens, _ = _cut(t, _unit_rows(ambient_dim, n1), t, eqs, facets)
     verts = set()
     rays = set()
-    for gg in _extreme_generators(hgens, facet_masks, plin):
+    for g in hgens:
+        gg = _reduce_mod(g, plin)
+        if gg is None:
+            raise VerificationError("a generator lies in the lineality of the facets")
         t = gg[-1]
         if t > 0:
             verts.add(tuple(x // t if x % t == 0 else Fraction(x, t) for x in gg[:-1]))
         else:
             rays.add(gg[:-1])
-    if not verts:
-        cell = _empty_cell(ambient_dim)
-        _BUILD_MEMO[memo_key] = cell
-        return cell
-    lin0 = tuple(l[:-1] for l in plin)
-    dim = (n1 - len(eqs)) - 1
     cell = Cell(
         ambient_dim,
         tuple(sorted(verts)),
         tuple(sorted(rays)),
-        lin0,
-        dim,
+        tuple(l[:-1] for l in plin),
+        n1 - len(eqs) - 1,
         facets,
         eqs,
     )
@@ -532,7 +530,7 @@ def intersect_cells(a, b):
     got = _INTERSECT_MEMO.get(memo_key)
     if got is not None:
         return got
-    rays, lin = _cut(a.hom_gens(), a.hom_lin(), b.hom_eqs, b.hom_facets)
+    rays, lin = _cut(a.hom_gens(), a.hom_lin(), a.hom_facets, b.hom_eqs, b.hom_facets)
     out = _build_from_hom(
         a.ambient_dim, rays, lin, lambda: a.hom_facets + b.hom_facets
     )
@@ -543,7 +541,7 @@ def intersect_cells(a, b):
 def cut_cell_by_hom_forms(cell, ineqs, eqs=()):
     """cell intersected with homogeneous halfspaces and hyperplanes."""
     ineqs = tuple(ineqs)
-    rays, lin = _cut(cell.hom_gens(), cell.hom_lin(), eqs, ineqs)
+    rays, lin = _cut(cell.hom_gens(), cell.hom_lin(), cell.hom_facets, eqs, ineqs)
     return _build_from_hom(
         cell.ambient_dim, rays, lin, lambda: cell.hom_facets + ineqs
     )
@@ -618,30 +616,22 @@ def lattice_normal(sigma, tau, facet_form):
 
     Returns an integer vector u generating the direction lattice of sigma
     over that of tau and pointing from tau into sigma.  `facet_form` is the
-    homogeneous inequality of sigma that is tight on tau.
+    homogeneous inequality of sigma that is tight on tau.  The directions
+    of tau are those of sigma on which the form vanishes, so u is any
+    combination of sigma's direction lattice basis on which the form takes
+    the gcd g of its values on that basis.
     """
     memo_key = (sigma, tau)
     got = _NORMAL_MEMO.get(memo_key)
     if got is not None:
         return got
     bs = sigma.direction_lattice()
-    d = len(bs)
-    coords = [_lattice_coords(bs, row) for row in tau.direction_lattice()]
-    if None in coords:
-        raise VerificationError("facet lattice is not a saturated sublattice")
-    ker = integer_kernel(coords, d)
-    if len(ker) != 1:
+    values = tuple(vec_dot(facet_form, b + (0,)) for b in bs)
+    g = gcd(*values)
+    if g == 0 or tau.dim != sigma.dim - 1:
         raise VerificationError("facet is not of codimension one")
-    xi = primitive_vector(ker[0])
-    y = solve_integer((xi,), (1,))
-    if y is None:
-        raise VerificationError("no lattice vector maps onto the quotient generator")
-    u = tuple(sum(y[i] * bs[i][j] for i in range(d)) for j in range(sigma.ambient_dim))
-    s = vec_dot(facet_form, tuple(u) + (0,))
-    if s == 0:
-        raise VerificationError("lattice normal degenerated onto the facet")
-    if s < 0:
-        u = vec_neg(u)
+    y = solve_integer((values,), (g,))
+    u = tuple(sum(c * b[j] for c, b in zip(y, bs)) for j in range(sigma.ambient_dim))
     _NORMAL_MEMO[memo_key] = u
     return u
 

@@ -5,8 +5,9 @@ against generator data, must agree with the H-representation the double
 description pass produces, and intersections must agree pointwise.  Cells
 that take their facets by incidence from candidate inequalities (faces,
 intersections, cuts, products) must equal the dual pass's build of the
-same generators, and the facets the dual pass picks by incidence must be
-those a rank test picks from the dual cone's generators.
+same generators, the facets the dual pass picks by incidence must be
+those a rank test picks from the dual cone's generators, and the vertices
+and rays of every build those a rank test picks from its generators.
 """
 
 import itertools
@@ -35,7 +36,6 @@ from tropint.polyhedra import (
     VerificationError,
     ZeroCycleSummary,
     _build_from_hom,
-    _extreme_generators,
     _hyperplane_key,
     _missed_sides,
     _reduce_mod,
@@ -704,15 +704,6 @@ def cell_data(cell):
     return cell.key(), cell.dim, cell.hom_facets, cell.hom_eqs
 
 
-def tight_mask(f, hgens):
-    """Bitmask of the generators the form f vanishes on."""
-    mask = 0
-    for i, g in enumerate(hgens):
-        if vec_dot(f, g) == 0:
-            mask |= 1 << i
-    return mask
-
-
 def facets_by_rank(hgens, hlin):
     """Reference for the facet pick of a build from bare generators: a
     generator d of the dual cone spans an extreme ray, so defines a facet,
@@ -723,7 +714,7 @@ def facets_by_rank(hgens, hlin):
     n1 = len(hgens[0])
     eqs = integer_kernel(hgens + hlin, n1)
     rank = n1 - len(eqs)
-    drays, _ = polyhedra._cut((), _unit_rows(n1), hlin, hgens)
+    drays, _ = polyhedra._cut((), _unit_rows(n1), (), hlin, hgens)
     facets = set()
     for d in drays:
         tight = [g for g in hgens if vec_dot(g, d) == 0] + list(hlin)
@@ -733,18 +724,37 @@ def facets_by_rank(hgens, hlin):
     return tuple(sorted(facets))
 
 
+def extremes_by_rank(hgens, facets, plin):
+    """Reference for the vertices and rays of a build: g spans an extreme
+    ray iff the facets tight on it, with the span equations, have rank one
+    less than all of them."""
+    n1 = len(hgens[0])
+    eqs = integer_kernel(tuple(hgens) + tuple(plin), n1)
+    primal_rank = n1 - len(plin)
+    out = set()
+    for g in hgens:
+        tight = [f for f in facets if vec_dot(f, g) == 0] + list(eqs)
+        if frac_rank(tight) == primal_rank - 1:
+            out.add(_reduce_mod(g, plin))
+    return out
+
+
 def checked_bare_build(ambient_dim, hgens, hlin):
     """The build without candidates, its facets checked against the rank
-    test on the dual cone's generators."""
+    test on the dual cone's generators and its vertices and rays against
+    the rank test on the given generators."""
     cell = _build_from_hom(ambient_dim, hgens, hlin)
     if not cell.is_empty:
         assert cell.hom_facets == facets_by_rank(hgens, hlin)
+        assert set(cell.hom_gens()) == extremes_by_rank(
+            hgens, cell.hom_facets, cell.hom_lin()
+        )
     return cell
 
 
 def both_ways(ambient_dim, hgens, hlin, forms):
     """The cell built from candidate facets, and the one the dual pass
-    builds from the same generators (checked against the rank test); a
+    builds from the same generators (checked against the rank tests); a
     rejected build reads as its error."""
     out = []
     for build in (
@@ -760,44 +770,24 @@ def both_ways(ambient_dim, hgens, hlin, forms):
     return out
 
 
-# the dual pass combines every pair of generators on opposite sides of each
-# constraint (ROADMAP item 3): on the 44 redundant generators of one meeting
-# of two 3-cells below it runs out of memory, so larger sets go unchecked
-DUAL_PASS_LIMIT = 16
-
-
-def extremes_by_rank(hgens, facets, plin):
-    """Reference for the incidence test of _extreme_generators: g spans an
-    extreme ray iff the facets tight on it, with the span equations, have
-    rank one less than all of them."""
-    n1 = len(hgens[0])
-    eqs = integer_kernel(tuple(hgens) + tuple(plin), n1)
-    primal_rank = n1 - len(plin)
-    out = set()
-    for g in hgens:
-        tight = [f for f in facets if vec_dot(f, g) == 0] + list(eqs)
-        if frac_rank(tight) == primal_rank - 1:
-            out.add(_reduce_mod(g, plin))
-    return out
-
-
 @pytest.fixture
 def extremes_checked(monkeypatch):
-    """Compare every pick of vertices and rays by incidence with the rank
-    test.  Returns the list of generator counts of the checked picks."""
-    pick = polyhedra._extreme_generators
-    picks = []
+    """Compare the vertices and rays of every build with the rank test on
+    its generators.  Returns the list of generator counts of the checked
+    builds."""
+    build = polyhedra._build_from_hom
+    checked = []
 
-    def checking(hgens, facet_masks, plin):
-        for f, mask in facet_masks.items():
-            assert mask == tight_mask(f, hgens)
-        got = pick(hgens, facet_masks, plin)
-        assert set(got) == extremes_by_rank(hgens, tuple(facet_masks), plin)
-        picks.append(len(hgens))
-        return got
+    def checking(ambient_dim, hgens, hlin, candidates=None):
+        cell = build(ambient_dim, hgens, hlin, candidates)
+        if not cell.is_empty:
+            want = extremes_by_rank(hgens, cell.hom_facets, cell.hom_lin())
+            assert set(cell.hom_gens()) == want
+            checked.append(len(hgens))
+        return cell
 
-    monkeypatch.setattr(polyhedra, "_extreme_generators", checking)
-    return picks
+    monkeypatch.setattr(polyhedra, "_build_from_hom", checking)
+    return checked
 
 
 @pytest.fixture
@@ -805,33 +795,28 @@ def dual_checked(monkeypatch, extremes_checked):
     """Compare every build that is given candidate facets with the dual
     double description of the same generators, the facets of every build
     without candidates with the rank test on the dual cone's generators,
-    and every pick of extreme generators with the rank test.  Returns the
-    list of (checked, generator count) for every build given candidate
-    facets."""
+    and the vertices and rays of every build with the rank test.  Returns
+    the list of generator counts of the builds given candidate facets."""
     build = polyhedra._build_from_hom
     builds = []
     bare = []
 
     def checking(ambient_dim, hgens, hlin, candidates=None):
+        cell = build(ambient_dim, hgens, hlin, candidates)
         if candidates is None:
             bare.append(len(hgens))
-            return checked_bare_build(ambient_dim, hgens, hlin)
-        small = len(hgens) <= DUAL_PASS_LIMIT
-        if small:
+            if not cell.is_empty:
+                assert cell.hom_facets == facets_by_rank(hgens, hlin)
+        else:
             got, want = both_ways(ambient_dim, hgens, hlin, tuple(candidates()))
             assert got == want
-        builds.append((small, len(hgens)))
-        return build(ambient_dim, hgens, hlin, candidates)
+            builds.append(len(hgens))
+        return cell
 
     monkeypatch.setattr(polyhedra, "_build_from_hom", checking)
     yield builds
-    # each checked build ran twice from scratch, by incidence and dually
-    assert len(extremes_checked) >= 2 * checked_count(builds)
+    assert len(extremes_checked) >= len(builds)
     assert bare
-
-
-def checked_count(builds):
-    return sum(small for small, _ in builds)
 
 
 def test_faces_by_incidence_match_the_dual_pass(dual_checked):
@@ -846,7 +831,7 @@ def test_faces_by_incidence_match_the_dual_pass(dual_checked):
                 assert cell.face_at(face.relint_point()) == face
                 faces[n] += 1
     assert all(count >= 30 for count in faces.values())
-    assert checked_count(dual_checked) == len(dual_checked) >= 100
+    assert len(dual_checked) >= 100
 
 
 def test_cuts_by_incidence_match_the_dual_pass(dual_checked):
@@ -864,14 +849,11 @@ def test_cuts_by_incidence_match_the_dual_pass(dual_checked):
                 for side in (h, vec_neg(h)):
                     kinds["cuts"] += not cut_cell_by_hom_forms(a, [side]).is_empty
                 kinds["hyperplanes"] += not cut_cell_by_hom_forms(b, [], [h]).is_empty
-            # the reference dual pass is too slow for the repeated cuts of
-            # 3-cells that a sum in R^3 makes
-            if a.dim == b.dim and n == 2:
+            if a.dim == b.dim:
                 add_cycles(make_cycle(n, a.dim, [(a, 1)]), make_cycle(n, b.dim, [(b, 2)]))
                 kinds["sums"] += 1
     assert all(kinds.values())
-    assert checked_count(dual_checked) >= 100
-    assert checked_count(dual_checked) >= len(dual_checked) - 2
+    assert len(dual_checked) >= 100
 
 
 def full_recession(cell):
@@ -922,7 +904,7 @@ def test_products_by_incidence_match_the_dual_pass(dual_checked):
         assert has_t_facet(c) == (full_recession(a) and full_recession(b))
         seen.add(has_t_facet(c))
     assert seen == {True, False}
-    assert checked_count(dual_checked) == len(dual_checked) >= 40
+    assert len(dual_checked) >= 40
 
 
 def test_one_generator_cells_have_the_lineality_face_as_facet(dual_checked):
@@ -941,7 +923,7 @@ def test_one_generator_cells_have_the_lineality_face_as_facet(dual_checked):
         assert len(cell.hom_facets) == 1
         assert cell.facet_cells() == ()
     assert {c.dim for c in built} == {0, 1, 2}
-    assert checked_count(dual_checked) == len(dual_checked) == len(built)
+    assert len(dual_checked) == len(built)
 
 
 def test_candidate_sets_with_equalities_and_parallel_forms():
@@ -1011,17 +993,29 @@ def test_builds_from_known_cells_run_no_dual_pass(monkeypatch):
 
 
 def test_cube_facets_match_the_rank_test():
-    """The 4-cube from its 16 vertices, and again with its centre as a
-    redundant last generator: the dual pass gives its 8 facets."""
+    """The 4- and 5-cubes from their vertices, and the 4-cube again with
+    its centre or its 32 edge midpoints as redundant generators: the dual
+    pass gives the 2n facets and the primal pass the 2^n vertices."""
+    for n in (4, 5):
+        corners = list(itertools.product((0, 1), repeat=n))
+        cube = fresh(lambda: make_cell(n, corners))
+        assert len(cube.hom_facets) == 2 * n and len(cube.vertices) == 2 ** n
+        assert cube.hom_facets == facets_by_rank(cube.hom_gens(), ())
     corners = list(itertools.product((0, 1), repeat=4))
-    cube = fresh(lambda: make_cell(4, corners))
-    assert len(cube.hom_facets) == 8 and len(cube.vertices) == 16
-    assert cube.hom_facets == facets_by_rank(cube.hom_gens(), ())
-    hgens = cube.hom_gens() + ((1, 1, 1, 1, 2),)
-    assert fresh(lambda: checked_bare_build(4, hgens, ())) == cube
+    cube = make_cell(4, corners)
+    midpoints = [
+        c[:i] + (F(1, 2),) + c[i + 1:] for c in corners for i in range(4) if not c[i]
+    ]
+    assert len(midpoints) == 32
+    assert fresh(lambda: make_cell(4, corners + midpoints)) == cube
+    for extra in ([(F(1, 2),) * 4], midpoints):
+        hgens = cube.hom_gens() + tuple(
+            primitive_vector(clear_denominators(tuple(p) + (1,))[0]) for p in extra
+        )
+        assert fresh(lambda: checked_bare_build(4, hgens, ())) == cube
 
 
-# -- extreme generators by incidence against the rank test ----------------
+# -- vertices and rays of bare builds against the rank test ---------------
 
 
 def cell_with_lineality(rng, n):
@@ -1068,16 +1062,16 @@ def test_extreme_generators_by_incidence_match_the_rank_test():
             cell = cell_with_lineality(rng, n)
             if cell.is_empty:
                 continue
-            lin = cell.hom_lin()
+            lin, want = cell.hom_lin(), set(cell.hom_gens())
             assert lin
             for hgens in (cell.hom_gens(), messy_generators(rng, cell)):
-                masks = {f: tight_mask(f, hgens) for f in cell.hom_facets}
-                got = _extreme_generators(hgens, masks, lin)
-                assert set(got) == extremes_by_rank(hgens, cell.hom_facets, lin)
-                assert set(got) == set(cell.hom_gens())
+                assert extremes_by_rank(hgens, cell.hom_facets, lin) == want
                 # the build from those generators keeps the cell
-                built = fresh(lambda: _build_from_hom(n, hgens, lin, lambda: cell.hom_facets))
-                assert built == cell
+                assert fresh(lambda: checked_bare_build(n, hgens, lin)) == cell
+            built = fresh(
+                lambda: _build_from_hom(n, cell.hom_gens(), lin, lambda: cell.hom_facets)
+            )
+            assert built == cell
             tried[n] += 1
     assert all(count >= 15 for count in tried.values())
 
@@ -1088,14 +1082,13 @@ def test_extreme_generators_skip_the_lineality(extremes_checked):
     (vertex,) = line.hom_gens()
     lin = line.hom_lin()
     hgens = (vertex, lin[0], vec_neg(lin[0]), (2, 2, 0))
-    assert fresh(lambda: _build_from_hom(2, hgens, lin, lambda: line.hom_facets)) == line
-    assert fresh(lambda: _build_from_hom(2, hgens, lin)) == line
+    assert fresh(lambda: polyhedra._build_from_hom(2, hgens, lin)) == line
     # a generator of the lineality sits in the smallest face of every other
     plane = make_cell(3, vertices=[(0, 0, 1)], rays=[(1, 0, 0)], lineality=[(0, 1, 0)])
     hgens = plane.hom_gens() + ((0, 1, 0, 0), (0, -3, 0, 0), (1, 1, 0, 0), (0, 2, 2, 2))
-    assert fresh(lambda: _build_from_hom(3, hgens, plane.hom_lin())) == plane
-    # the two cells from make_cell, then the three builds above
-    assert len(extremes_checked) == 5
+    assert fresh(lambda: polyhedra._build_from_hom(3, hgens, plane.hom_lin())) == plane
+    # the two cells from make_cell, then the two builds above
+    assert len(extremes_checked) == 4
 
 
 # -- direction lattices from span equations -------------------------------
