@@ -9,6 +9,7 @@ so two representations agreeing on every cell describe the same function.
 from fractions import Fraction
 
 from .exactmath import (
+    clear_denominators,
     solve_integer,
     vec_dot,
     vec_sub,
@@ -202,12 +203,12 @@ def scale_function(f, c):
     )
 
 
-def pullback_function(matrix, translation, phi, source=None):
+def pullback_function(matrix, translation, phi):
     """Pull a PL function back along x -> matrix.x + translation.
 
-    `source` is an optional complex on the domain whose cells are refined
-    by the preimages of the carrier cells of phi; by default the whole
-    domain is used.  The image of the source must land in the carrier.
+    The carrier is the whole domain cut into the full-dimensional
+    preimages of the carrier cells of phi; the image of the domain must
+    land in the carrier.
     """
     n = len(matrix[0]) if matrix else 0
     m = len(matrix)
@@ -215,46 +216,26 @@ def pullback_function(matrix, translation, phi, source=None):
         translation = (0,) * m
     if phi.ambient_dim != m:
         raise TropicalGeometryError("function carrier does not match the target")
-    if source is None:
-        source = Complex(n, [_space_cell(n)])
-    elif hasattr(source, "cells"):
-        source = source.complex()
+    space = _space_cell(n)
+
+    def pull(a):
+        return tuple(sum(a[i] * matrix[i][j] for i in range(m)) for j in range(n))
 
     def pull_form(form):
-        a, b = form[:-1], form[-1]
-        cov = tuple(
-            sum(a[i] * matrix[i][j] for i in range(m)) for j in range(n)
-        )
-        return cov + (vec_dot(a, translation) + b,)
+        a = form[:-1]
+        return clear_denominators(pull(a) + (vec_dot(a, translation) + form[-1],))[0]
 
-    cells = []
-    forms = []
-    for s in source.maximal:
-        pieces = {}
-        for target_cell, (cov, off) in zip(phi.cells, phi.forms):
-            ineqs = [pull_form(f) for f in target_cell.hom_facets]
-            eqs = [pull_form(e) for e in target_cell.hom_eqs]
-            piece = cut_cell_by_hom_forms(s, ineqs, eqs)
-            if piece.is_empty or piece.dim != s.dim:
-                continue
-            if piece not in pieces:
-                new_cov = tuple(
-                    sum(cov[i] * matrix[i][j] for i in range(m)) for j in range(n)
-                )
-                new_off = vec_dot(cov, translation) + off
-                pieces[piece] = (new_cov, new_off)
-        check_cover(s, list(pieces))
-        for piece, form in pieces.items():
-            cells.append(piece)
-            forms.append(form)
-    # a piece can arise from two source cells only if they overlap; carriers
-    # are complexes, so identical pieces carry identical forms
-    seen = {}
-    for c, f in zip(cells, forms):
-        seen.setdefault(c, f)
-    cells = list(seen)
-    forms = [seen[c] for c in cells]
-    return PLFunction(cells, forms)
+    # a non-injective map can give two target cells the same preimage; the
+    # function is continuous, so their pulled-back forms agree
+    pieces = {}
+    for target_cell, (cov, off) in zip(phi.cells, phi.forms):
+        ineqs = [pull_form(f) for f in target_cell.hom_facets]
+        eqs = [pull_form(e) for e in target_cell.hom_eqs]
+        piece = cut_cell_by_hom_forms(space, ineqs, eqs)
+        if piece.dim == n and piece not in pieces:
+            pieces[piece] = (pull(cov), vec_dot(cov, translation) + off)
+    check_cover(space, list(pieces))
+    return PLFunction(list(pieces), list(pieces.values()))
 
 
 def divisor(phi, x):

@@ -8,7 +8,11 @@ Linear spaces and stars take the fan check of their representation.
 Product contexts pull the factor representations back along the
 coordinate projections and are verified by their factors, through the
 product formula pi^*phi . (A x B) = (phi . A) x B (Allermann-Rau); any
-other context is checked geometrically when intersect_cycles first uses it.
+other context is checked geometrically when it is first used.
+
+A pull-back along f : X -> Y uses the target's representation alone:
+f^*c = pi_X*((f x id)^*Delta_Y . (X x c)), since (f x id)^*Delta_Y is the
+graph of f in X x Y.  The source context is read only for its ambient X.
 """
 
 from .exactmath import _unit_rows
@@ -102,11 +106,19 @@ def graph(f, x):
     return pushforward_cycle(_unit_rows(n) + f.matrix, x, translation=translation)
 
 
-def _pull_expression(expr, matrix):
+def _pull_expression(expr, matrix, translation=None):
     return CartierExpression(
-        (coeff, [pullback_function(matrix, None, phi) for phi in factors])
+        (coeff, [pullback_function(matrix, translation, phi) for phi in factors])
         for coeff, factors in expr.terms
     )
+
+
+def _apply_stages(stages, z):
+    for stage in stages:
+        z = stage.apply(z)
+        if z.is_empty:
+            break
+    return z
 
 
 class AmbientContext:
@@ -139,11 +151,7 @@ class AmbientContext:
         return True
 
     def apply_diagonal(self, z):
-        for stage in self.stages:
-            z = stage.apply(z)
-            if z.is_empty:
-                break
-        return z
+        return _apply_stages(self.stages, z)
 
     def covers(self, x):
         return support_covers(x, self.ambient)
@@ -215,12 +223,6 @@ def intersect_cycles(d1, d2, ctx):
         raise TropicalGeometryError("cycles do not live in the ambient space")
     if not (ctx.covers(d1) and ctx.covers(d2)):
         raise TropicalGeometryError("cycle support leaves the ambient space")
-    return _intersect(d1, d2, ctx)
-
-
-def _intersect(d1, d2, ctx):
-    """intersect_cycles of nonempty cycles that lie in the ambient."""
-    n = ctx.ambient.ambient_dim
     expected = d1.dim + d2.dim - ctx.ambient.dim
     if expected < 0:
         return empty_cycle(n)
@@ -234,24 +236,40 @@ def _intersect(d1, d2, ctx):
 
 
 def pullback_cycle(f, c, ctx_source, ctx_target):
-    """Pull the cycle c back along f relative to the two contexts.
+    """Pull the cycle c back along f : X -> Y.
 
-    Computed as the first projection of Gamma_f . (X x c) inside the
-    product context; the expected dimension is
-    dim X + dim c - dim Y.
+    f^*c = pi_X*(F^*Delta_Y . (X x c)), where F(u, v) = (f(u), v) maps
+    X x Y to Y x Y and so pulls the diagonal of Y back to the graph of f
+    (Allermann-Rau).  The stages of ctx_target, the representation of
+    Delta_Y, are pulled back along F and applied to X x c; ctx_source is
+    read only for its ambient X.  The result is empty whenever the expected
+    dimension dim X + dim c - dim Y is negative.  An unverified target
+    context is first checked geometrically (VerificationError).
     """
     x = ctx_source.ambient
     y = ctx_target.ambient
-    if f.source_dim != x.ambient_dim or f.target_dim != y.ambient_dim:
+    n = x.ambient_dim
+    m = y.ambient_dim
+    if f.source_dim != n or f.target_dim != m:
         raise TropicalGeometryError("morphism does not match the contexts")
     if not support_covers(pushforward(f, x), y):
         raise TropicalGeometryError("morphism does not map source into target")
     if not c.is_empty and not ctx_target.covers(c):
         raise TropicalGeometryError("cycle support leaves the target space")
-    prod = product_context(ctx_source, ctx_target)
-    g = graph(f, x)
-    if g.is_empty or c.is_empty:
-        return empty_cycle(x.ambient_dim)
-    z = _intersect(g, cross(x, c), prod)
-    rows = _unit_rows(x.ambient_dim, x.ambient_dim + y.ambient_dim)
-    return pushforward_cycle(rows, z, target_dim=x.ambient_dim)
+    if x.is_empty or c.is_empty:
+        return empty_cycle(n)
+    expected = x.dim + c.dim - y.dim
+    if expected < 0:
+        return empty_cycle(n)
+    if not ctx_target.verified:
+        ctx_target.verify()
+    matrix = tuple(row + (0,) * m for row in f.matrix) + _unit_rows(m, n + m, n)
+    translation = f.translation + (0,) * m
+    graph_stages = [
+        _pull_expression(stage, matrix, translation) for stage in ctx_target.stages
+    ]
+    z = _apply_stages(graph_stages, cross(x, c))
+    out = pushforward_cycle(_unit_rows(n, n + m), z, target_dim=n)
+    if not out.is_empty and out.dim != expected:
+        raise VerificationError("intersection product has unexpected dimension")
+    return out

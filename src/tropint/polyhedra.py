@@ -530,10 +530,7 @@ def intersect_cells(a, b):
     got = _INTERSECT_MEMO.get(memo_key)
     if got is not None:
         return got
-    rays, lin = _cut(a.hom_gens(), a.hom_lin(), a.hom_facets, b.hom_eqs, b.hom_facets)
-    out = _build_from_hom(
-        a.ambient_dim, rays, lin, lambda: a.hom_facets + b.hom_facets
-    )
+    out = cut_cell_by_hom_forms(a, b.hom_facets, b.hom_eqs)
     _INTERSECT_MEMO[memo_key] = out
     return out
 

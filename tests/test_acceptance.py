@@ -377,11 +377,12 @@ def test_criterion_8():
     )
 
     # (c) pulling back a divisor cut agrees with cutting the pulled-back
-    # function
+    # function; a pull-back lives on the whole source space, so phi is
+    # pulled back through max(0, x, y), which agrees with it on L^2_1
     phi = ray_function(l21, {(1, 1): 1})
-    fphi = pullback_function(
-        p2.matrix, p2.translation, phi, source=cross(l21, l21).complex()
-    )
+    ext = max_function(build_lnk(2, 2))
+    assert all(ext.value(r) == phi.value(r) for r in [(1, 1), (-1, 0), (0, -1)])
+    fphi = pullback_function(p2.matrix, p2.translation, ext)
     lhs = pullback_cycle(p2, divisor(phi, l21), ctx_ll, ctx21)
     rhs = divisor(fphi, cross(l21, l21))
     assert cycles_equal(lhs, rhs)

@@ -238,6 +238,47 @@ def test_graph_examples():
     assert gi.dim == l21.dim
 
 
+def test_pullback_matches_the_graph_route():
+    # reference: Gamma_f . (X x c) in the product context, projected to X
+    r1 = linear_space_context(1, 1)
+    l21 = linear_space_context(2, 1)
+    rr = product_context(r1, r1)
+    ll = product_context(l21, l21)
+    ray = cone_from_generators(3, [(1, 1, 1)])
+    line = star_context(3, 1, ray)
+    plane = star_context(3, 2, ray)
+    real = r1.ambient
+    tripod = l21.ambient
+    on_l21 = [point((0, 0)), point((5, 5), 3), tripod, scale_cycle(tripod, 2)]
+    on_plane = [
+        cross(point((4,), 2), real),
+        cross(real, point((4,), 2)),
+        diagonal_cycle(real),
+        point((3, 3)),
+    ]
+    on_star = [plane.ambient, build_lnk(3, 1), line.ambient, point((0, 1, 1), 2)]
+    rows = [  # (f, source, target, cycles on the target)
+        (identity_morphism(2), l21, l21, on_l21 + [point((-2, 0), 3)]),
+        (identity_morphism(1), r1, r1, [point((-4,), 2), real]),
+        (projection_morphism([2, 2], 1), ll, l21, on_l21),
+        (projection_morphism([1, 1], 1), rr, r1, [point((0,)), point((7,), 2), real]),
+        (projection_morphism([1, 1], 0), rr, r1, [point((7,), 3)]),
+        (diagonal_morphism(1), r1, rr, on_plane),
+        (Morphism([[1]], (2,)), r1, r1, [point((0,), 2), point((-3,), 2)]),
+        (Morphism([[1]], (-5,)), r1, r1, [point((0,), 2)]),
+        (Morphism([[1]], (-3,)), r1, r1, [point((0,), 2)]),  # their composite
+        (Morphism([[1]], (Fraction(1, 2),)), r1, r1, [point((0,), 2)]),
+        (identity_morphism(3), line, plane, on_star),
+    ]
+    for f, src, tgt, cycles in rows:
+        x = src.ambient
+        back = projection_morphism([f.source_dim, f.target_dim], 0)
+        prod = product_context(src, tgt)
+        for c in cycles:
+            want = pushforward(back, intersect_cycles(graph(f, x), cross(x, c), prod))
+            assert cycles_equal(pullback_cycle(f, c, src, tgt), want), (f, c)
+
+
 def test_pullback_identity_map():
     ctx = linear_space_context(2, 1)
     l21 = build_lnk(2, 1)
@@ -361,6 +402,12 @@ def test_unverified_context_is_checked_before_use():
     assert cycles_equal(
         intersect_cycles(plane, plane, product_context(right, r1)), plane
     )
+    # a pull-back uses the target's representation only
+    shift = Morphism([[1]], (2,))
+    with pytest.raises(VerificationError):
+        pullback_cycle(shift, c, r1, wrong)
+    assert not wrong.verified
+    assert cycles_equal(pullback_cycle(shift, c, wrong, r1), point((1,), 2))
 
 
 def test_clear_caches_empties_every_module_cache():
