@@ -9,6 +9,7 @@ so two representations agreeing on every cell describe the same function.
 from fractions import Fraction
 
 from .exactmath import (
+    _unit_rows,
     clear_denominators,
     solve_integer,
     vec_dot,
@@ -18,6 +19,7 @@ from .polyhedra import (
     Complex,
     TropicalGeometryError,
     VerificationError,
+    _build_from_hom,
     _integers,
     _refine,
     _space_cell,
@@ -203,12 +205,29 @@ def scale_function(f, c):
     )
 
 
+def _unit_columns(matrix):
+    """The column of the entry 1 in each row when the rows are distinct
+    unit vectors, so that x -> matrix.x reads off coordinates; else None."""
+    columns = []
+    for row in matrix:
+        support = [j for j, a in enumerate(row) if a]
+        if len(support) != 1 or row[support[0]] != 1:
+            return None
+        columns.append(support[0])
+    return columns if len(set(columns)) == len(columns) else None
+
+
 def pullback_function(matrix, translation, phi):
     """Pull a PL function back along x -> matrix.x + translation.
 
     The carrier is the whole domain cut into the full-dimensional
     preimages of the carrier cells of phi; the image of the domain must
-    land in the carrier.
+    land in the carrier.  When the rows of the matrix are distinct unit
+    vectors (a coordinate projection, maybe permuted, as in the
+    projections of a product and in f x id for such an f), a preimage is
+    the carrier cell lifted along the free coordinates, with the
+    pulled-back facets as its candidate facets.  Any other matrix cuts the
+    whole domain by each cell's pulled-back facets and equations.
     """
     n = len(matrix[0]) if matrix else 0
     m = len(matrix)
@@ -217,6 +236,7 @@ def pullback_function(matrix, translation, phi):
     if phi.ambient_dim != m:
         raise TropicalGeometryError("function carrier does not match the target")
     space = _space_cell(n)
+    columns = _unit_columns(matrix)
 
     def pull(a):
         return tuple(sum(a[i] * matrix[i][j] for i in range(m)) for j in range(n))
@@ -225,13 +245,49 @@ def pullback_function(matrix, translation, phi):
         a = form[:-1]
         return clear_denominators(pull(a) + (vec_dot(a, translation) + form[-1],))[0]
 
+    if columns is not None:
+        # the preimage of a cell is the cell placed in the selected
+        # coordinates and shifted by -t, times R^(free coordinates): the
+        # generator (w, s) goes to (d w - s d t, s d) with d the common
+        # denominator of t (the build makes it primitive), and the
+        # lineality gains e_j for every free column j.  A generator
+        # extreme in the cell stays extreme modulo that lineality, and
+        # the pulled-back facets define every facet of the preimage.
+        shift, d = clear_denominators(translation)
+        picked = set(columns)
+        free = tuple(e + (0,) for j, e in enumerate(_unit_rows(n)) if j not in picked)
+
+        def place(w):
+            out = [0] * (n + 1)
+            for j, x in zip(columns, w):
+                out[j] = x
+            out[n] = w[-1]
+            return tuple(out)
+
+        def lift(w):
+            s = w[-1]
+            return place([d * x - s * y for x, y in zip(w, shift)] + [s * d])
+
+        def preimage(cell):
+            return _build_from_hom(
+                n,
+                tuple(lift(g) for g in cell.hom_gens()),
+                tuple(place(l) for l in cell.hom_lin()) + free,
+                lambda: [pull_form(f) for f in cell.hom_facets],
+            )
+
+    else:
+
+        def preimage(cell):
+            ineqs = [pull_form(f) for f in cell.hom_facets]
+            eqs = [pull_form(e) for e in cell.hom_eqs]
+            return cut_cell_by_hom_forms(space, ineqs, eqs)
+
     # a non-injective map can give two target cells the same preimage; the
     # function is continuous, so their pulled-back forms agree
     pieces = {}
     for target_cell, (cov, off) in zip(phi.cells, phi.forms):
-        ineqs = [pull_form(f) for f in target_cell.hom_facets]
-        eqs = [pull_form(e) for e in target_cell.hom_eqs]
-        piece = cut_cell_by_hom_forms(space, ineqs, eqs)
+        piece = preimage(target_cell)
         if piece.dim == n and piece not in pieces:
             pieces[piece] = (pull(cov), vec_dot(cov, translation) + off)
     check_cover(space, list(pieces))

@@ -107,9 +107,18 @@ def graph(f, x):
 
 
 def _pull_expression(expr, matrix, translation=None):
+    """The expression with every factor pulled back; a function that fills
+    several factor slots is pulled back once."""
+    pulled = {}
+
+    def pull(phi):
+        got = pulled.get(id(phi))
+        if got is None:
+            got = pulled[id(phi)] = pullback_function(matrix, translation, phi)
+        return got
+
     return CartierExpression(
-        (coeff, [pullback_function(matrix, translation, phi) for phi in factors])
-        for coeff, factors in expr.terms
+        (coeff, [pull(phi) for phi in factors]) for coeff, factors in expr.terms
     )
 
 
@@ -128,18 +137,26 @@ class AmbientContext:
     to [ambient x ambient] cuts out the diagonal.  Splitting the
     representation into stages keeps products of contexts small: the sum
     over one factor's tuples is collapsed before the next factor's tuples
-    are applied.  The constructor checks nothing: `verified` is set from the
-    fan check or the product formula (see product_context), or by `verify`,
-    the geometric check run by intersect_cycles and by the CLI's --verify.
+    are applied.  The constructor takes the stages or a function of no
+    arguments returning them, called when they are first read.  It checks
+    nothing: `verified` is set from the fan check or the product formula
+    (see product_context), or by `verify`, the geometric check run by
+    intersect_cycles and by the CLI's --verify.
     """
 
-    __slots__ = ("ambient", "stages", "label", "verified")
+    __slots__ = ("ambient", "_stages", "label", "verified")
 
     def __init__(self, ambient, stages, label=None):
         self.ambient = ambient
-        self.stages = tuple(stages)
+        self._stages = stages if callable(stages) else tuple(stages)
         self.label = label
         self.verified = False
+
+    @property
+    def stages(self):
+        if callable(self._stages):
+            self._stages = tuple(self._stages())
+        return self._stages
 
     def verify(self):
         got = self.apply_diagonal(cross(self.ambient, self.ambient))
@@ -185,7 +202,8 @@ def product_context(cx, cy):
     coordinate projections of (X x Y) x (X x Y); their concatenation
     represents the diagonal of the product: by the product formula
     pi^*phi . (A x B) = (phi . A) x B they cut out Delta_X x Delta_Y.  So
-    the product is verified when both factors are.
+    the product is verified when both factors are.  The stages are pulled
+    back when they are first read: a pull-back reads only the ambient.
     """
     key = None
     if cx.label is not None and cy.label is not None:
@@ -199,8 +217,12 @@ def product_context(cx, cy):
     # (u, v, u', v') -> (u, u') and -> (v, v')
     px = _unit_rows(ax, total) + _unit_rows(ax, total, ax + ay)
     py = _unit_rows(ay, total, ax) + _unit_rows(ay, total, 2 * ax + ay)
-    stages = [ _pull_expression(stage, px) for stage in cx.stages ]
-    stages += [ _pull_expression(stage, py) for stage in cy.stages ]
+
+    def stages():
+        return [_pull_expression(stage, px) for stage in cx.stages] + [
+            _pull_expression(stage, py) for stage in cy.stages
+        ]
+
     out = AmbientContext(cross(cx.ambient, cy.ambient), stages, label=key)
     out.verified = cx.verified and cy.verified
     if key is not None:

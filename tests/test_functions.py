@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropint import functions
 from tropint.functions import (
     CartierExpression,
     PLFunction,
@@ -17,10 +18,13 @@ from tropint.functions import (
     ray_function,
     scale_function,
 )
+from tropint.intersect import linear_space_context
+from tropint.linspace import build_fnk, fnk_cycle
 from tropint.polyhedra import (
     Complex,
     TropicalGeometryError,
     VerificationError,
+    clear_caches,
     cone_from_generators,
     cycles_equal,
     degree,
@@ -281,6 +285,84 @@ def test_pullback_composes_with_forms():
         p = tuple(F(rng.randint(-6, 6), 2) for _ in range(3))
         q = (p[0] + 2 * p[2] + 1, p[1] - p[2])
         assert pulled.value(p) == phi.value(q)
+
+
+def _seeded_ray_function(fan, rng):
+    rays = sorted({r for cone in fan.maximal for r in cone.rays})
+    return ray_function(fan, {r: rng.randint(-3, 3) for r in rays})
+
+
+def _coordinate_maps(m, rng):
+    """(name, matrix, translation) for maps onto R^m whose rows are
+    distinct unit vectors: a projection, a permutation and f x id for a
+    projection f, each with no, an integer and a rational translation."""
+
+    def rows(columns, n):
+        return tuple(tuple(int(j == c) for j in range(n)) for c in columns)
+
+    h = m // 2
+    f_columns = rng.sample(range(h + 1), h)
+    shapes = [
+        ("projection", rows(sorted(rng.sample(range(m + 2), m)), m + 2), m),
+        ("permutation", rows(rng.sample(range(m), m), m), m),
+        ("f x id", rows(f_columns + list(range(h + 1, 2 * h + 1)), 2 * h + 1), h),
+    ]
+    for name, matrix, moved in shapes:
+        pad = (0,) * (m - moved)
+        yield name, matrix, None
+        yield name, matrix, tuple(rng.randint(-4, 4) for _ in range(moved)) + pad
+        yield name, matrix, tuple(
+            F(rng.randint(-7, 7), rng.randint(1, 3)) for _ in range(moved)
+        ) + pad
+
+
+def test_pullback_lift_matches_the_cut():
+    """Along coordinate maps the lifted preimages are the cells, facets
+    and span equations the whole-space cut gives, built from empty caches."""
+    rng = random.Random(13)
+    f22 = build_fnk(2, 2)
+    # the sum of a unimodular cone's rays keeps the subdivision unimodular
+    apex = tuple(map(sum, zip(*f22.maximal[0].rays)))
+    subdivided = stellar_subdivide(fnk_cycle(2, 2), apex)
+    stages = linear_space_context(3, 2).stages
+    l32 = {id(phi): phi for st in stages for _, fs in st.terms for phi in fs}
+    carriers = [
+        ("F^2_2", _seeded_ray_function(f22, rng)),
+        ("L^3_2", rng.choice(sorted(l32.values(), key=lambda phi: phi.forms))),
+        ("subdivided F^2_2", _seeded_ray_function(subdivided.complex(), rng)),
+    ]
+    for label, phi in carriers:
+        for name, matrix, t in _coordinate_maps(phi.ambient_dim, rng):
+            clear_caches()
+            lifted = pullback_function(matrix, t, phi)
+            clear_caches()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(functions, "_unit_columns", lambda matrix: None)
+                cut = pullback_function(matrix, t, phi)
+            case = (label, name, t)
+            assert lifted.cells == cut.cells and lifted.forms == cut.forms, case
+            for a, b in zip(lifted.cells, cut.cells):
+                assert (a.hom_facets, a.hom_eqs) == (b.hom_facets, b.hom_eqs), case
+
+
+def test_pullback_lifts_only_along_coordinate_maps(monkeypatch):
+    assert functions._unit_columns(((0, 1, 0), (1, 0, 0))) == [1, 0]
+    for matrix in (((1, -1),), ((2, 0),), ((1, 0), (1, 0)), ((-1, 0),)):
+        assert functions._unit_columns(matrix) is None
+    cuts = []
+    real = functions.cut_cell_by_hom_forms
+    monkeypatch.setattr(
+        functions, "cut_cell_by_hom_forms", lambda *a: cuts.append(a) or real(*a)
+    )
+    phi = tropical_max_xy()
+    pullback_function(((0, 0, 1), (1, 0, 0)), (F(1, 2), 3), phi)
+    assert cuts == []
+    line = max_poly_function(
+        Complex(1, [cone_from_generators(1, [(1,)]), cone_from_generators(1, [(-1,)])]),
+        [((0,), 0), ((1,), 0)],
+    )
+    pullback_function(((1, -1),), None, line)
+    assert len(cuts) == len(line.cells)
 
 
 def test_function_continuity_validation():

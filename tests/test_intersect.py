@@ -381,6 +381,56 @@ def test_product_contexts_are_verified_by_their_factors():
         assert AmbientContext(ctx.ambient, ctx.stages).verify()
 
 
+def test_product_stages_are_pulled_back_on_first_use(monkeypatch):
+    l21 = linear_space_context(2, 1)
+    # unlabelled factors, so that the product is built here and not cached
+    target = AmbientContext(l21.ambient, l21.stages)
+    target.verified = True
+    pulled = []
+    real = intersect.pullback_function
+    monkeypatch.setattr(
+        intersect, "pullback_function", lambda *a: pulled.append(a[2]) or real(*a)
+    )
+    source = product_context(target, target)
+    assert pulled == [] and source.verified
+    distinct = {id(phi) for st in target.stages for _, fs in st.terms for phi in fs}
+    # a pull-back reads the source's ambient and pulls the target's stages
+    # back along f x id, each distinct function once
+    tripod = l21.ambient
+    c = point((5, 5), 3)
+    got = pullback_cycle(projection_morphism([2, 2], 1), c, source, target)
+    assert cycles_equal(got, cross(tripod, c))
+    assert len(pulled) == len(distinct)
+    # the product's stages are pulled back when first read, and only then
+    stages = source.stages
+    assert len(pulled) == 3 * len(distinct)
+    assert source.stages is stages
+    # the product of (A x B) and (C x D) is (A.C) x (B.D)
+    a, b = cross(tripod, point((0, 0))), cross(point((-2, 0), 2), tripod)
+    want = cross(point((-2, 0), 2), point((0, 0)))
+    assert cycles_equal(intersect_cycles(a, b, source), want)
+    assert len(pulled) == 3 * len(distinct)
+    assert cycles_equal(intersect_cycles(a, b, product_context(l21, l21)), want)
+    assert AmbientContext(source.ambient, source.stages).verify()
+
+
+def test_pull_expression_pulls_each_function_once(monkeypatch):
+    phi = symbol_function(1, {("T", 0): 1})
+    psi = symbol_function(1, {("B", 1): 1, ("D", 0): -1})
+    pulled = []
+    real = intersect.pullback_function
+    monkeypatch.setattr(
+        intersect, "pullback_function", lambda *a: pulled.append(a[2]) or real(*a)
+    )
+    expr = CartierExpression([(1, (phi, phi)), (-2, (psi, phi))])
+    swap = ((0, 1), (1, 0))
+    got = intersect._pull_expression(expr, swap)
+    assert sorted(map(id, pulled)) == sorted((id(phi), id(psi)))
+    (_, (a, b)), (_, (c, d)) = got.terms
+    assert a is b is d and c is not a
+    assert a.forms == real(swap, None, phi).forms
+
+
 def test_unverified_context_is_checked_before_use():
     # twice the diagonal of R^1: a hand-built factor that is wrong
     r1 = linear_space_context(1, 1)
