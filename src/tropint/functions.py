@@ -294,6 +294,68 @@ def pullback_function(matrix, translation, phi):
     return PLFunction(list(pieces), list(pieces.values()))
 
 
+class _Faces:
+    """The codimension-one faces of a cycle refined along one carrier, with
+    the forms that give each face its weight in a divisor.
+
+    The cycle's cells come with their hosts, the carrier cells containing
+    them; without given hosts the cycle is refined along the carrier.  The
+    weight of a face tau in a divisor (see `divisor`) is linear in the
+    covectors of the function on the hosts of the cells around tau: the
+    weighted lattice normals are summed per host once, and `divisor`
+    evaluates any function on the carrier from those sums.  A face whose
+    cells all lie in one host gets weight zero from every function.  The
+    balancing of the cycle is checked on construction.  This is the
+    geometric twin of `linspace._SymbolFan.faces`.
+    """
+
+    __slots__ = ("hosts", "faces")
+
+    def __init__(self, x, carrier, hosts=None):
+        if hosts is None:
+            x, hosts = _refine(x, carrier)
+        cells = [c for c, _ in x.cells]
+        index = {}
+        at = [index.setdefault(hosts[c], len(index)) for c in cells]
+        self.hosts = tuple(index)
+        self.faces = faces = []
+        for tau, around in facet_data(cells).items():
+            sums = {}  # host index -> weighted lattice normals in that host
+            for idx, form in around:
+                cell, w = x.cells[idx]
+                u = lattice_normal(cell, tau, form)
+                acc = sums.get(at[idx])
+                if acc is None:
+                    sums[at[idx]] = [w * a for a in u]
+                else:
+                    sums[at[idx]] = [s + w * a for s, a in zip(acc, u)]
+            total = [sum(col) for col in zip(*sums.values())]
+            if not tau.spans_direction(total):
+                raise UnbalancedCycleError(
+                    "cycle is not balanced around a codimension-one cell"
+                )
+            if len(sums) == 1:
+                continue
+            first = at[around[0][0]]
+            sums[first] = [s - t for s, t in zip(sums[first], total)]
+            forms = tuple((h, v) for h, v in sums.items() if any(v))
+            if forms:
+                faces.append((tau, first, forms))
+
+    def divisor(self, phi):
+        """The cells and weights of the divisor of phi, a function on the
+        carrier, and the host of each cell (the host of a cell around it)."""
+        covs = [phi.form_on(h)[0] for h in self.hosts]
+        items = []
+        hosts = {}
+        for tau, first, forms in self.faces:
+            weight = sum(vec_dot(covs[h], v) for h, v in forms)
+            if weight:
+                items.append((tau, weight))
+                hosts[tau] = self.hosts[first]
+        return items, hosts
+
+
 def divisor(phi, x):
     """The divisor cycle phi . x supported on the codimension-one cells.
 
@@ -303,34 +365,44 @@ def divisor(phi, x):
     and cells of weight zero are dropped.  Raises UnbalancedCycleError when
     the weighted normal vectors around some tau do not sum into its span.
     """
-    if x.is_empty or x.dim == 0:
-        return empty_cycle(x.ambient_dim)
-    if phi.ambient_dim != x.ambient_dim:
-        raise TropicalGeometryError("function and cycle live in different spaces")
-    refined, origin = _refine(x, phi.carrier)
-    cells = [c for c, _ in refined.cells]
-    weights = [w for _, w in refined.cells]
-    covs = [phi.form_on(origin[cell])[0] for cell in cells]
-    n = x.ambient_dim
-    items = []
-    for tau, around in facet_data(cells).items():
-        total = [0] * n
-        val = 0
-        for idx, form in around:
-            u = lattice_normal(cells[idx], tau, form)
-            w = weights[idx]
-            val += w * vec_dot(covs[idx], u)
-            for i in range(n):
-                total[i] += w * u[i]
-        total = tuple(total)
-        if not tau.spans_direction(total):
-            raise UnbalancedCycleError(
-                "cycle is not balanced around a codimension-one cell"
-            )
-        weight = val - vec_dot(covs[around[0][0]], total)
-        if weight:
-            items.append((tau, weight))
-    return make_cycle(x.ambient_dim, x.dim - 1, items)
+    return CartierExpression(((1, (phi,)),)).apply(x)
+
+
+def _merge(terms):
+    """sum c phi over (c, phi) pairs of functions on equal cells; a lone
+    function with coefficient one is kept as it is."""
+    (c, phi), rest = terms[0], terms[1:]
+    if c == 1 and not rest:
+        return phi
+    out = scale_function(phi, c)
+    for c, psi in rest:
+        out = add_functions(out, scale_function(psi, c))
+    return out
+
+
+def _plan(terms, depth=0):
+    """The factor tree of (coefficient, factors) terms from factor `depth`
+    on, as (scalar, last, groups): the summed coefficient of the terms
+    with no factor left, the sum c phi of the terms with one factor left
+    per carrier (the divisor of a fixed cycle is linear in phi), and
+    (phi, subtree) for the terms with more, by their next factor."""
+    scalar = 0
+    last = {}
+    groups = {}
+    for coeff, factors in terms:
+        if len(factors) == depth:
+            scalar += coeff
+        elif len(factors) == depth + 1:
+            phi = factors[depth]
+            last.setdefault(phi.cells, []).append((coeff, phi))
+        else:
+            phi = factors[depth]
+            groups.setdefault(id(phi), (phi, []))[1].append((coeff, factors))
+    return (
+        scalar,
+        tuple(_merge(fs) for fs in last.values()),
+        tuple((phi, _plan(group, depth + 1)) for phi, group in groups.values()),
+    )
 
 
 class CartierExpression:
@@ -338,16 +410,24 @@ class CartierExpression:
 
     Terms are (coefficient, factors) pairs; applying the expression to a
     cycle applies each factor of a term in turn as a divisor, scales by
-    the coefficient, and sums the results.
+    the coefficient, and sums the results.  The terms are applied as a
+    factor tree (`_plan`, built on first use): terms sharing a first
+    factor share its divisor, and the last factors of sibling terms on
+    one carrier are merged into one function.  A cycle is refined along
+    each carrier once, its faces and lattice normals are computed once for
+    all the functions on that carrier (`_Faces`), and a divisor keeps the
+    hosts of its cells, so the next factor on the same carrier needs no
+    refinement.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_tree")
 
     def __init__(self, terms):
         self.terms = tuple(
             (_integers((c,), "coefficients")[0], tuple(factors))
             for c, factors in terms
         )
+        self._tree = None
 
     def __len__(self):
         return len(self.terms)
@@ -360,18 +440,44 @@ class CartierExpression:
         return degrees.pop()
 
     def apply(self, x):
-        result = None
-        for coeff, factors in self.terms:
-            cur = x
-            for phi in factors:
-                cur = divisor(phi, cur)
-                if cur.is_empty:
-                    break
-            cur = scale_cycle(cur, coeff)
-            result = cur if result is None else add_cycles(result, cur)
-        if result is None:
-            result = empty_cycle(x.ambient_dim)
+        if self._tree is None:
+            self._tree = _plan(self.terms)
+        parts = []
+        _walk(self._tree, x, None, None, parts)
+        result = empty_cycle(x.ambient_dim)
+        for y in parts:
+            result = add_cycles(result, y)
         return result
+
+
+def _walk(node, x, hosts, cells, parts):
+    """Append the cycles that sum to node . x to parts; hosts, when given,
+    maps the cells of x into the carrier cells `cells`."""
+    scalar, last, groups = node
+    if scalar:
+        parts.append(scale_cycle(x, scalar))
+    if x.is_empty or x.dim == 0:
+        return
+    faces = {}
+
+    def divide(phi):
+        got = faces.get(phi.cells)
+        if got is None:
+            if phi.ambient_dim != x.ambient_dim:
+                raise TropicalGeometryError(
+                    "function and cycle live in different spaces"
+                )
+            given = hosts if phi.cells == cells else None
+            got = faces[phi.cells] = _Faces(x, phi.carrier, given)
+        items, out_hosts = got.divisor(phi)
+        return make_cycle(x.ambient_dim, x.dim - 1, items), out_hosts
+
+    for phi in last:
+        parts.append(divide(phi)[0])
+    for phi, child in groups:
+        y, y_hosts = divide(phi)
+        if not y.is_empty:
+            _walk(child, y, y_hosts, phi.cells, parts)
 
 
 def apply_expression(expr, x):

@@ -276,6 +276,8 @@ def pullback_cycle(f, c, ctx_source, ctx_target):
         raise TropicalGeometryError("morphism does not match the contexts")
     if not support_covers(pushforward(f, x), y):
         raise TropicalGeometryError("morphism does not map source into target")
+    if not c.is_empty and c.ambient_dim != m:
+        raise TropicalGeometryError("cycle does not live in the target space")
     if not c.is_empty and not ctx_target.covers(c):
         raise TropicalGeometryError("cycle support leaves the target space")
     if x.is_empty or c.is_empty:

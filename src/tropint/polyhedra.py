@@ -173,10 +173,33 @@ def _reduce_mod(v, basis):
 # cells
 
 _CACHES = []  # every module cache of tropint
+_CACHE_LIMIT = 2048  # entries per module cache
+_MISSING = object()
+
+
+class _LRUCache(dict):
+    """A dict that keeps at most _CACHE_LIMIT entries and evicts the least
+    recently used one beyond that.  `get` and assignment mark an entry as
+    used: the dict keeps its entries in order of last use, oldest first."""
+
+    __slots__ = ()
+
+    def get(self, key, default=None):
+        value = self.pop(key, _MISSING)
+        if value is _MISSING:
+            return default
+        dict.__setitem__(self, key, value)
+        return value
+
+    def __setitem__(self, key, value):
+        self.pop(key, None)
+        dict.__setitem__(self, key, value)
+        while len(self) > _CACHE_LIMIT:
+            del self[next(iter(self))]
 
 
 def _module_cache():
-    _CACHES.append({})
+    _CACHES.append(_LRUCache())
     return _CACHES[-1]
 
 

@@ -1,26 +1,30 @@
 import re
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
-from tropint.polyhedra import _CELL_POOL
+from tropint import polyhedra
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 
 
 @pytest.fixture(autouse=True)
-def integral_vertex_coordinates_are_ints():
+def integral_vertex_coordinates_are_ints(monkeypatch):
     """Every cell a test builds stores an integral vertex coordinate as an
-    int and any other as a Fraction (cells the test clears are missed)."""
-    start = len(_CELL_POOL)
+    int and any other as a Fraction.  Cells are checked as they are
+    interned, so cells the bounded pool evicts are checked too."""
+    bad = []
+    real = polyhedra._intern
+
+    def intern(cell):
+        for x in (x for v in cell.vertices for x in v):
+            if type(x) is not (int if x == int(x) else Fraction):
+                bad.append(cell)
+        return real(cell)
+
+    monkeypatch.setattr(polyhedra, "_intern", intern)
     yield
-    if len(_CELL_POOL) < start:
-        start = 0
-    for cell in islice(_CELL_POOL.values(), start, None):
-        for v in cell.vertices:
-            for x in v:
-                assert type(x) is (int if x == int(x) else Fraction), cell
+    assert not bad, bad
 
 
 def pytest_configure(config):

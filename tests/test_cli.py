@@ -222,6 +222,14 @@ def test_validation_failures_exit_one(tmp_path, capsys):
     )
     code, _, err = run(capsys, "degree", phi)
     assert code == 1 and "expected a cycle" in err
+    # a point of R^1 pulled back into the product of two L^2_1
+    pmap = write(tmp_path / "p2.map", projection_morphism((2, 2), 1))
+    e = write(tmp_path / "e.cycle", make_cycle(1, 0, [(make_cell(1, [(3,)]), 1)]))
+    amb = "product:lnk:2,1;lnk:2,1"
+    code, out, err = run(
+        capsys, "pullback", pmap, e, "--source", amb, "--target", "lnk:2,1"
+    )
+    assert code == 1 and out == "" and "does not live in the target space" in err
 
 
 def test_usage_errors_exit_one(capsys):

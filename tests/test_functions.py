@@ -18,18 +18,39 @@ from tropint.functions import (
     ray_function,
     scale_function,
 )
-from tropint.intersect import linear_space_context
-from tropint.linspace import build_fnk, fnk_cycle
+from tropint.exactmath import integer_kernel
+from tropint.intersect import (
+    intersect_cycles,
+    linear_space_context,
+    product_context,
+    star_context,
+)
+from tropint.linspace import (
+    _symbol_expression,
+    build_fnk,
+    build_lnk,
+    fnk_cycle,
+    rn_cycle,
+)
 from tropint.polyhedra import (
     Complex,
     TropicalGeometryError,
     VerificationError,
+    _refine,
+    add_cycles,
     clear_caches,
+    common_refinement,
     cone_from_generators,
+    cross,
     cycles_equal,
     degree,
+    diagonal_cycle,
+    empty_cycle,
+    facet_data,
+    lattice_normal,
     make_cell,
     make_cycle,
+    scale_cycle,
     stellar_subdivide,
 )
 
@@ -411,3 +432,202 @@ def test_non_integral_slopes_and_coefficients_are_refused():
     assert scale_function(phi, F(-3, 3)).forms == (((-2, -1), F(-1, 2)),)
     assert CartierExpression([(F(6, 3), ())]).terms == ((2, ()),)
     assert ray_function(l21_cycle(), {(1, 1): F(2)}).value((1, 1)) == 2
+
+
+# -- the factor tree against the term-by-term loop -------------------------
+
+
+def _reference_divisor(phi, x):
+    """The divisor with its own refinement and no shared face data."""
+    if x.is_empty or x.dim == 0:
+        return empty_cycle(x.ambient_dim)
+    refined, origin = _refine(x, phi.carrier)
+    cells = [c for c, _ in refined.cells]
+    weights = [w for _, w in refined.cells]
+    covs = [phi.form_on(origin[cell])[0] for cell in cells]
+    n = x.ambient_dim
+    items = []
+    for tau, around in facet_data(cells).items():
+        total = [0] * n
+        val = 0
+        for idx, form in around:
+            u = lattice_normal(cells[idx], tau, form)
+            val += weights[idx] * sum(a * b for a, b in zip(covs[idx], u))
+            total = [t + weights[idx] * a for t, a in zip(total, u)]
+        if not tau.spans_direction(tuple(total)):
+            raise UnbalancedCycleError("unbalanced")
+        weight = val - sum(a * b for a, b in zip(covs[around[0][0]], total))
+        items.append((tau, weight))
+    return make_cycle(n, x.dim - 1, items)
+
+
+def _term_by_term(expr, x):
+    """The expression applied one term at a time, one divisor per factor."""
+    result = empty_cycle(x.ambient_dim)
+    for coeff, factors in expr.terms:
+        cur = x
+        for phi in factors:
+            cur = _reference_divisor(phi, cur)
+            if cur.is_empty:
+                break
+        result = add_cycles(result, scale_cycle(cur, coeff))
+    return result
+
+
+def _assert_tree_is_term_by_term(stages, x):
+    for stage in stages:
+        got, want = stage.apply(x), _term_by_term(stage, x)
+        assert cycles_equal(got, want)
+        x = got
+        if x.is_empty:
+            break
+    return x
+
+
+def _seeded_curve(rng):
+    """A balanced fan curve in L^3_2: the divisor of a seeded ray function
+    on L^3_2 subdivided along the sum of two of its rays."""
+    rays = [(1, 1, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    a, b = rng.sample(rays, 2)
+    r = tuple(p + q for p, q in zip(a, b))
+    x = stellar_subdivide(l32_cycle(), r)
+    while True:
+        values = {ray: rng.randint(-2, 2) for ray in rays + [r]}
+        c = divisor(ray_function(x, values), x)
+        if not c.is_empty:
+            return c
+
+
+def _seeded_affine_curve(rng):
+    """The divisor of max(0, a.x + c) on L^3_2 cut along a.x = -c."""
+    while True:
+        a = tuple(rng.randint(-1, 1) for _ in range(3))
+        if any(a):
+            break
+    c = rng.choice((-2, -1, 1, 2))
+    p = tuple(F(-c * v, sum(v * v for v in a)) for v in a)
+    lin = integer_kernel([a], 3)
+    halves = Complex(
+        3,
+        [make_cell(3, [p], [a], lin), make_cell(3, [p], [tuple(-v for v in a)], lin)],
+    )
+    x = common_refinement(l32_cycle(), halves)
+    return divisor(max_poly_function(x, [((0, 0, 0), 0), (a, c)]), x)
+
+
+def test_factor_tree_matches_term_by_term_on_linear_spaces():
+    for n, m in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]:
+        ctx = linear_space_context(n, m)
+        got = _assert_tree_is_term_by_term(ctx.stages, cross(ctx.ambient, ctx.ambient))
+        assert cycles_equal(got, diagonal_cycle(ctx.ambient)), (n, m)
+    # in R^3 and in L^4_3, a surface times a curve and a surface
+    for n, m, a, b in [(3, 3, 2, 1), (4, 3, 2, 1)]:
+        ctx = linear_space_context(n, m)
+        x = cross(build_lnk(n, a), build_lnk(n, b))
+        _assert_tree_is_term_by_term(ctx.stages, x)
+
+
+def test_factor_tree_matches_term_by_term_on_seeded_cycles():
+    rng = random.Random(21)
+    ctx = linear_space_context(3, 2)
+    curves = [_seeded_curve(rng) for _ in range(3)]
+    curves += [_seeded_affine_curve(rng) for _ in range(3)]
+    for c, d in zip(curves, curves[1:] + curves[:1]):
+        _assert_tree_is_term_by_term(ctx.stages, cross(c, d))
+    _assert_tree_is_term_by_term(ctx.stages, cross(curves[0], l32_cycle()))
+
+
+def test_factor_tree_matches_term_by_term_on_stars_and_products():
+    star = star_context(3, 2, cone_from_generators(3, [(1, 1, 1)]))
+    line = make_cycle(
+        3, 1, [(cone_from_generators(3, [s]), 1) for s in ((1, 1, 1), (-1, -1, -1))]
+    )
+    _assert_tree_is_term_by_term(star.stages, cross(star.ambient, star.ambient))
+    _assert_tree_is_term_by_term(star.stages, cross(line, star.ambient))
+    r1, l21 = linear_space_context(1, 1), linear_space_context(2, 1)
+    for cx, cy in [(l21, r1), (l21, l21)]:
+        ctx = product_context(cx, cy)
+        # the functions pulled back along the two projections have their
+        # own carriers
+        pulled = [phi for st in ctx.stages for _, fs in st.terms for phi in fs]
+        assert len({phi.cells for phi in pulled}) > 1
+        amb = ctx.ambient
+        got = _assert_tree_is_term_by_term(ctx.stages, cross(amb, amb))
+        assert cycles_equal(got, diagonal_cycle(amb))
+
+
+def test_factor_tree_matches_term_by_term_on_relations_and_constants():
+    rng = random.Random(4)
+    c = _seeded_curve(rng)
+    base = cross(c, rn_cycle(3))
+    relations = [
+        [{("T", 0): 1}, {("B", 0): 1}],
+        [{("T", 1): 1}, {("T", 2): 1}],
+        [{("T", 1): 1}, {("D", 0): 1}],
+        [{("B", 0): 1}, {("D", 0): 1}, {("T", 3): 1}],
+    ]
+    for factors in relations:
+        expr = _symbol_expression(3, ((1, factors),))
+        got = _assert_tree_is_term_by_term([expr], base)
+        assert got.is_empty
+    phi = tropical_max_xy()
+    plane, flat = plane_cycle(), affine_function(2, (1, -2), 5)
+    # mixed degrees add up as long as the nonzero parts share a dimension
+    works = [
+        (CartierExpression([(2, ()), (-1, ())]), plane),
+        (
+            CartierExpression([(3, ()), (1, (flat,)), (-2, (flat, phi))]),
+            scale_cycle(plane, 3),
+        ),
+        (CartierExpression([(0, (phi,)), (1, (phi, flat)), (-1, (phi, phi))]), None),
+    ]
+    for expr, want in works:
+        got = expr.apply(plane)
+        assert cycles_equal(got, _term_by_term(expr, plane))
+        assert want is None or cycles_equal(got, want)
+    assert degree(works[2][0].apply(plane)) == -1
+    mixed = CartierExpression([(1, (phi, phi)), (2, (phi,)), (-1, (flat,))])
+    for apply in (mixed.apply, lambda x: _term_by_term(mixed, x)):
+        with pytest.raises(TropicalGeometryError, match="different dimensions"):
+            apply(plane)
+
+
+def test_factor_tree_rejects_unbalanced_cycles():
+    halfline = make_cycle(2, 1, [(cone_from_generators(2, [(1, 0)]), 1)])
+    phi = tropical_max_xy()
+    for expr in (
+        CartierExpression([(1, (phi,))]),
+        CartierExpression([(1, (phi, phi)), (-1, (phi,))]),
+        CartierExpression([(1, (phi,)), (-1, (phi,))]),
+    ):
+        with pytest.raises(UnbalancedCycleError):
+            _term_by_term(expr, halfline)
+        with pytest.raises(UnbalancedCycleError):
+            expr.apply(halfline)
+
+
+def test_factor_tree_refines_once_per_product(monkeypatch):
+    """An L^3_2 stage has 12 terms of two factors but 5 distinct functions
+    on one carrier: 5 divisors for the first factors, one merged divisor
+    under each, and one refinement of [C x D]."""
+    rng = random.Random(9)
+    ctx = linear_space_context(3, 2)
+    c, d = _seeded_curve(rng), _seeded_affine_curve(rng)
+    (stage,) = ctx.stages
+    assert len(stage) == 12
+    assert len({id(phi) for _, fs in stage.terms for phi in fs}) == 5
+    refines, evaluations = [], []
+    real_refine, real_divisor = functions._refine, functions._Faces.divisor
+    monkeypatch.setattr(
+        functions, "_refine", lambda *a: refines.append(1) or real_refine(*a)
+    )
+    monkeypatch.setattr(
+        functions._Faces,
+        "divisor",
+        lambda self, phi: evaluations.append(phi) or real_divisor(self, phi),
+    )
+    got = intersect_cycles(c, d, ctx)
+    assert not got.is_empty
+    assert (len(refines), len(evaluations)) == (1, 10)
+    monkeypatch.undo()
+    assert cycles_equal(got, intersect_cycles(d, c, ctx))

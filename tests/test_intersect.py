@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from tropint import intersect, linspace, polyhedra
+from tropint import cli, intersect, linspace, polyhedra
+from tropint.formats import parse_document, serialize
 from tropint.functions import (
     CartierExpression,
     divisor,
@@ -38,6 +40,7 @@ from tropint.polyhedra import (
     make_cell,
     make_cycle,
     scale_cycle,
+    stellar_subdivide,
 )
 
 
@@ -484,6 +487,58 @@ def test_clear_caches_empties_every_module_cache():
     assert cycles_equal(got, point((1, 1)))
 
 
+def test_lru_cache_keeps_what_was_read_last(monkeypatch):
+    monkeypatch.setattr(polyhedra, "_CACHE_LIMIT", 3)
+    cache = polyhedra._LRUCache()
+    for key in "abc":
+        cache[key] = key.upper()
+    assert cache.get("a") == "A"
+    cache["d"] = "D"  # evicts b, the least recently used
+    assert sorted(cache) == ["a", "c", "d"]
+    assert cache.get("b") is None and cache.get("b", 0) == 0
+    cache["c"] = "C"  # assignment marks use too
+    cache["e"] = "E"
+    assert sorted(cache) == ["c", "d", "e"]
+
+
+def _seeded_fan_curve(rng):
+    """The divisor of a seeded ray function on L^3_2 subdivided along the
+    sum of two of its rays."""
+    rays = [(1, 1, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    a, b = rng.sample(rays, 2)
+    x = stellar_subdivide(build_lnk(3, 2), tuple(p + q for p, q in zip(a, b)))
+    fan_rays = sorted({r for c, _ in x.cells for r in c.rays})
+    while True:
+        c = divisor(ray_function(x, {r: rng.randint(-2, 2) for r in fan_rays}), x)
+        if not c.is_empty:
+            return c
+
+
+def test_bounded_caches_give_identical_bytes(monkeypatch, capsys):
+    """With three entries per module cache, an intersection, a pull-back
+    and a diagonal rewrite give the bytes they give with the usual bound,
+    and no cache grows past the bound."""
+
+    def outputs():
+        polyhedra.clear_caches()
+        rng = random.Random(31)
+        c, d = _seeded_fan_curve(rng), _seeded_fan_curve(rng)
+        got = [serialize(intersect_cycles(c, d, linear_space_context(3, 2)))]
+        l21 = linear_space_context(2, 1)
+        p2 = projection_morphism([2, 2], 1)
+        pulled = pullback_cycle(p2, point((-2, 0), 3), product_context(l21, l21), l21)
+        got.append(serialize(pulled))
+        assert cli.main(["diagonal-rewrite", "--n", "3", "--k", "1", "--quiet"]) == 0
+        got.append(capsys.readouterr().out)
+        return got
+
+    want = outputs()
+    assert degree(parse_document(want[0])) != 0
+    monkeypatch.setattr(polyhedra, "_CACHE_LIMIT", 3)
+    assert outputs() == want
+    assert all(len(cache) <= 3 for cache in polyhedra._CACHES)
+
+
 def test_star_context_products():
     tau = cone_from_generators(3, [(1, 1, 1)])
     ctx = star_context(3, 2, tau)
@@ -514,3 +569,12 @@ def test_intersect_requires_matching_ambient():
     ctx = linear_space_context(2, 1)
     with pytest.raises(TropicalGeometryError):
         intersect_cycles(build_lnk(3, 2), build_lnk(2, 1), ctx)
+
+
+def test_pullback_requires_a_cycle_in_the_target_space():
+    l21 = linear_space_context(2, 1)
+    source = product_context(l21, l21)
+    p2 = projection_morphism([2, 2], 1)
+    for c in (point((1,)), build_lnk(3, 2)):
+        with pytest.raises(TropicalGeometryError, match="does not live in the target"):
+            pullback_cycle(p2, c, source, l21)
