@@ -29,9 +29,13 @@ read covectors without locating points.  A refinement signs each cell
 against the carrier's distinct hyperplanes once, summing over their
 nonzero entries only, and intersects it only with the carrier cells whose
 facet and equation sides it can meet in full dimension, so cells that
-meet in a lower-dimensional face never reach the intersection memo.  The
-cover check that follows works on facet forms: a facet of a single piece
-is on the boundary iff its inequality is one of the cell's own.
+meet in a lower-dimensional face never reach the intersection memo.  Each
+piece is cut once: since the carrier is a complex, a carrier cell that
+holds a relative interior point of a piece already found meets the cell
+in exactly that piece, so it takes the piece without a cut, tested by its
+side codes against the sides that point holds.  The cover check that
+follows works on facet forms: a facet of a single piece is on the
+boundary iff its inequality is one of the cell's own.
 
 Products of cells are built from the factors' homogeneous generators, so
 a product found in the build memo costs no Fraction arithmetic.
@@ -1003,15 +1007,43 @@ def _missed_sides(sigma, forms):
     return missed
 
 
+def _held_sides(cell, forms):
+    """The sides of the sparse hyperplanes `forms`, given and coded as in
+    Complex._side_needs, that hold at the sum of the cell's homogeneous
+    generators, a point of its relative interior."""
+    point = [sum(col) for col in zip(*cell.hom_gens())]
+    held = set()
+    for h, form in enumerate(forms):
+        s = sum([point[i] * v for i, v in form])
+        if s >= 0:
+            held.add(3 * h)
+        if s <= 0:
+            held.add(3 * h + 1)
+        if s == 0:
+            held.add(3 * h + 2)
+    return held
+
+
 def _refine(x, carrier):
     """Refine the cycle x along a complex covering it, remembering carriers.
 
     Returns (cycle, origin) where origin maps every cell of the cycle to a
     maximal carrier cell containing it.  When each cell of x already lies
     in a carrier cell, x is returned as it is; otherwise every cell of x is
-    intersected with every carrier cell except those that lie on a side
-    of one of their hyperplanes which that cell meets in less than its
-    dimension.
+    met with every carrier cell except those that lie on a side of one of
+    their hyperplanes which that cell meets in less than its dimension.
+
+    Each piece is cut once, since the carrier is a complex.  Let
+    p = sigma & c' be a piece already found, of sigma's dimension, and r a
+    point of its relative interior.  If a carrier cell c holds r, then so
+    does the face c & c' of c', which therefore holds all of p.  And
+    sigma & c = p: for q in sigma & c, the segment from q through r goes on
+    inside p, because p has sigma's dimension, so r lies inside a segment
+    of c; the face c & c' of c holds r, hence the whole segment and q, and
+    q is in sigma & c' = p.  So on a memo miss, c is first tested against
+    the pieces found (c holds r iff the side codes c needs are among those
+    r holds), and one that holds a piece gets it in the intersection memo,
+    as a cut would have put it there, and is not cut.
     """
     origin = {}
     for sigma, _ in x.cells:
@@ -1027,10 +1059,20 @@ def _refine(x, carrier):
     for sigma, w in x.cells:
         missed = _missed_sides(sigma, forms)
         pieces = {}
+        held = {}
         for c, need in zip(carrier.maximal, needs):
             if not missed.isdisjoint(need):
                 continue
-            piece = intersect_cells(sigma, c)
+            piece = _INTERSECT_MEMO.get((sigma, c))
+            if piece is None:
+                for p in pieces:
+                    if p not in held:
+                        held[p] = _held_sides(p, forms)
+                    if need <= held[p]:
+                        piece = _INTERSECT_MEMO[sigma, c] = p
+                        break
+                else:
+                    piece = intersect_cells(sigma, c)
             if not piece.is_empty and piece.dim == sigma.dim:
                 pieces.setdefault(piece, c)
         check_cover(sigma, list(pieces))

@@ -10,6 +10,7 @@ those a rank test picks from the dual cone's generators, and the vertices
 and rays of every build those a rank test picks from its generators.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -18,7 +19,8 @@ from fractions import Fraction
 import pytest
 
 from test_exactmath import frac_rank
-from tropint import polyhedra
+from test_functions import _seeded_affine_curve, _seeded_curve, l32_cycle
+from tropint import functions, polyhedra
 from tropint.exactmath import (
     _unit_rows,
     clear_denominators,
@@ -27,7 +29,21 @@ from tropint.exactmath import (
     vec_dot,
     vec_neg,
 )
-from tropint.functions import UnbalancedCycleError, affine_function, divisor
+from tropint.functions import (
+    UnbalancedCycleError,
+    affine_function,
+    divisor,
+    max_poly_function,
+)
+from tropint.intersect import (
+    intersect_cycles,
+    linear_space_context,
+    product_context,
+    projection_morphism,
+    pullback_cycle,
+    star_context,
+)
+from tropint.linspace import build_lnk
 from tropint.polyhedra import (
     _BUILD_MEMO,
     _CELL_POOL,
@@ -39,6 +55,7 @@ from tropint.polyhedra import (
     _hyperplane_key,
     _missed_sides,
     _reduce_mod,
+    _refine,
     add_cycles,
     check_cover,
     clear_caches,
@@ -1233,3 +1250,136 @@ def test_balancing_by_span_equations_matches_span_membership():
                 with_lineality += any(c.lineality for c, _ in y.cells)
     assert verdicts == {True, False}
     assert with_lineality >= 40
+
+
+# -- a refinement cuts each piece once -------------------------------------
+
+
+def _reference_refine(x, carrier):
+    """The refinement that meets every cell with every carrier cell the
+    sign test keeps, with no reuse of the pieces found."""
+    origin = {}
+    for sigma, _ in x.cells:
+        host = next((c for c in carrier.maximal if c.contains_cell(sigma)), None)
+        if host is None:
+            break
+        origin[sigma] = host
+    else:
+        return x, origin
+    origin = {}
+    items = []
+    forms, needs = carrier._side_needs()
+    for sigma, w in x.cells:
+        missed = _missed_sides(sigma, forms)
+        pieces = {}
+        for c, need in zip(carrier.maximal, needs):
+            if not missed.isdisjoint(need):
+                continue
+            piece = intersect_cells(sigma, c)
+            if not piece.is_empty and piece.dim == sigma.dim:
+                pieces.setdefault(piece, c)
+        check_cover(sigma, list(pieces))
+        origin.update(pieces)
+        items.extend((piece, w) for piece in pieces)
+    return make_cycle(x.ambient_dim, x.dim, items), origin
+
+
+def _refinements_of(run):
+    """The (cycle, carrier) pairs that the divisors of `run()` refine."""
+    calls = []
+    real = functions._refine
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functions, "_refine", lambda x, c: calls.append((x, c)) or real(x, c))
+        run()
+    return calls
+
+
+def _refinement_cases():
+    """Operations, by name, whose refinements cover every kind of carrier."""
+    rng = random.Random(15)
+    l32, l43 = linear_space_context(3, 2), linear_space_context(4, 3)
+    fan, affine, fan2 = _seeded_curve(rng), _seeded_affine_curve(rng), _seeded_curve(rng)
+    l42 = build_lnk(4, 2)
+    star = star_context(3, 2, cone_from_generators(3, [(1, 1, 1)]))
+    line = make_cycle(
+        3, 1, [(cone_from_generators(3, [s]), 1) for s in ((1, 1, 1), (-1, -1, -1))]
+    )
+    l21 = linear_space_context(2, 1)
+    square = product_context(l21, l21)
+    left = cross(make_cycle(2, 0, [(make_cell(2, [(-1, 0)]), 1)]), build_lnk(2, 1))
+    right = cross(build_lnk(2, 1), make_cycle(2, 0, [(make_cell(2, [(0, -2)]), 1)]))
+    p2 = projection_morphism((2, 2), 1)
+    point = make_cycle(2, 0, [(make_cell(2, [(3, 3)]), 2)])
+    # max(0, z - 1) lives on L^3_2 cut along z = 1, which is not a fan
+    halves = Complex(
+        3,
+        [
+            make_cell(3, [(0, 0, 1)], [(0, 0, 1)], _unit_rows(2, 3)),
+            make_cell(3, [(0, 0, 1)], [(0, 0, -1)], _unit_rows(2, 3)),
+        ],
+    )
+    cut = common_refinement(l32_cycle(), halves)
+    phi = max_poly_function(cut, [((0, 0, 0), 0), ((0, 0, 1), -1)])
+    return {
+        "[C x D] along F^3_3": lambda: intersect_cycles(fan, affine, l32),
+        "two fan curves along F^3_3": lambda: intersect_cycles(fan2, fan, l32),
+        "[L^4_2 x L^4_2] along F^4_4": lambda: intersect_cycles(l42, l42, l43),
+        "star at (1, 1, 1)": lambda: intersect_cycles(line, star.ambient, star),
+        "product L^2_1 x L^2_1": lambda: intersect_cycles(left, right, square),
+        "pulled-back graph of p2": lambda: pullback_cycle(p2, point, square, l21),
+        "max(0, z - 1) on cut L^3_2": lambda: divisor(phi, fan),
+    }
+
+
+def test_refine_matches_the_reference_loop():
+    """Same cycle, same origins (hosts in the same order) and the same
+    intersection memo as the loop that cuts every kept carrier cell, from
+    empty caches."""
+    for name, run in _refinement_cases().items():
+        cuts = 0
+        for x, carrier in _refinements_of(run):
+            clear_caches()
+            want, want_origin = _reference_refine(x, carrier)
+            want_memo = list(polyhedra._INTERSECT_MEMO.items())
+            clear_caches()
+            got, got_origin = _refine(x, carrier)
+            assert got.cells == want.cells, name
+            assert list(got_origin.items()) == list(want_origin.items()), name
+            assert list(polyhedra._INTERSECT_MEMO.items()) == want_memo, name
+            cuts += len(want_memo)
+        assert cuts, name
+
+
+def _cuts_per_piece(x, carrier, refine=_refine):
+    """The pieces of x along the carrier, and how often `refine` cut out
+    each, from empty caches."""
+    clear_caches()
+    made = collections.Counter()
+    real = polyhedra.cut_cell_by_hom_forms
+
+    def cut(cell, ineqs, eqs=()):
+        out = real(cell, ineqs, eqs)
+        if not out.is_empty and out.dim == cell.dim:
+            made[out] += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "cut_cell_by_hom_forms", cut)
+        refined, _ = refine(x, carrier)
+    return {c for c, _ in refined.cells}, made
+
+
+def test_refinement_cuts_each_piece_once():
+    """In a seeded L^3_2 product, [C x D] is refined along F^3_3; a
+    piece that lies in several carrier cells is cut for the first only."""
+    rng = random.Random(15)
+    ctx = linear_space_context(3, 2)
+    fan, affine = _seeded_curve(rng), _seeded_affine_curve(rng)
+    calls = _refinements_of(lambda: intersect_cycles(fan, affine, ctx))
+    [(x, carrier)] = [(x, c) for x, c in calls if x == cross(fan, affine)]
+    assert len(carrier.maximal) == 80
+    pieces, made = _cuts_per_piece(x, carrier)
+    assert set(made) == pieces and set(made.values()) == {1}
+    # the reference loop cuts a piece once per carrier cell holding it
+    _, again = _cuts_per_piece(x, carrier, _reference_refine)
+    assert set(again) == pieces and max(again.values()) > 1
