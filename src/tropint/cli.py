@@ -74,20 +74,9 @@ def _load(path, want, what):
     return obj
 
 
-def _balanced_parens(t):
-    depth = 0
-    for ch in t:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
-
-
 def _split_factors(body):
-    """Split on top-level semicolons, leaving parenthesized groups intact."""
+    """Split on top-level semicolons, leaving parenthesized groups intact;
+    None when the parentheses do not balance."""
     depth = 0
     parts = [[]]
     for ch in body:
@@ -96,14 +85,12 @@ def _split_factors(body):
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise formats.FormatError("unbalanced parentheses in ambient")
+                return None
         if ch == ";" and depth == 0:
             parts.append([])
         else:
             parts[-1].append(ch)
-    if depth:
-        raise formats.FormatError("unbalanced parentheses in ambient")
-    return ["".join(p) for p in parts]
+    return None if depth else ["".join(p) for p in parts]
 
 
 def _ints(text, count, what):
@@ -121,7 +108,7 @@ def _ints(text, count, what):
 def ambient_context(text):
     """Resolve an ambient shorthand: lnk:n,k, rn:n, or product:A;B."""
     t = text.strip()
-    while t.startswith("(") and t.endswith(")") and _balanced_parens(t[1:-1]):
+    while t.startswith("(") and t.endswith(")") and _split_factors(t[1:-1]):
         t = t[1:-1].strip()
     if t.startswith("lnk:"):
         n, k = _ints(t[4:], 2, t)
@@ -131,6 +118,8 @@ def ambient_context(text):
         return linear_space_context(n, n)
     if t.startswith("product:"):
         parts = _split_factors(t[len("product:"):])
+        if parts is None:
+            raise formats.FormatError("unbalanced parentheses in ambient")
         if len(parts) != 2:
             raise formats.FormatError(
                 "bad ambient %r: product takes exactly two factors" % t

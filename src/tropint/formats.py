@@ -158,23 +158,36 @@ def cycle_to_doc(x):
     }
 
 
-def cycle_from_doc(doc, where="cycle"):
+def _cells(doc, where):
+    """The ambient dimension of a cycle or function document, and an
+    iterator that reads the shared pools and then its cells, one at a
+    time, as (place, entry, cell)."""
     amb = _int_field(doc, "ambient_dim", where)
     if amb < 0:
         raise FormatError("%s.ambient_dim: must be nonnegative" % where)
+
+    def cells():
+        rays = _pool(doc, "rays", amb, _dec_int, where)
+        verts = _pool(doc, "vertices", amb, _dec_rat, where)
+        for i, entry in enumerate(_list_field(doc, "cells", where)):
+            here = "%s.cells[%d]" % (where, i)
+            yield here, entry, make_cell(
+                amb,
+                _indices(entry, "vertices", verts, here),
+                _indices(entry, "rays", rays, here),
+                _indices(entry, "lineality", rays, here),
+            )
+
+    return amb, cells()
+
+
+def cycle_from_doc(doc, where="cycle"):
+    amb, cells = _cells(doc, where)
     dim = _int_field(doc, "dim", where)
-    rays = _pool(doc, "rays", amb, _dec_int, where)
-    verts = _pool(doc, "vertices", amb, _dec_rat, where)
-    items = []
-    for i, entry in enumerate(_list_field(doc, "cells", where)):
-        here = "%s.cells[%d]" % (where, i)
-        cell = make_cell(
-            amb,
-            _indices(entry, "vertices", verts, here),
-            _indices(entry, "rays", rays, here),
-            _indices(entry, "lineality", rays, here),
-        )
-        items.append((cell, _dec_int(_field(entry, "weight", here), here)))
+    items = [
+        (cell, _dec_int(_field(entry, "weight", here), here))
+        for here, entry, cell in cells
+    ]
     try:
         return make_cycle(amb, dim, items)
     except TropicalGeometryError as err:
@@ -200,23 +213,11 @@ def function_to_doc(phi):
 
 
 def function_from_doc(doc, where="function"):
-    amb = _int_field(doc, "ambient_dim", where)
-    if amb < 0:
-        raise FormatError("%s.ambient_dim: must be nonnegative" % where)
-    rays = _pool(doc, "rays", amb, _dec_int, where)
-    verts = _pool(doc, "vertices", amb, _dec_rat, where)
+    amb, entries = _cells(doc, where)
     cells = []
     forms = []
-    for i, entry in enumerate(_list_field(doc, "cells", where)):
-        here = "%s.cells[%d]" % (where, i)
-        cells.append(
-            make_cell(
-                amb,
-                _indices(entry, "vertices", verts, here),
-                _indices(entry, "rays", rays, here),
-                _indices(entry, "lineality", rays, here),
-            )
-        )
+    for here, entry, cell in entries:
+        cells.append(cell)
         cov = _vector(_field(entry, "covector", here), amb, _dec_int, here + ".covector")
         off = _dec_rat(_field(entry, "offset", here), here + ".offset")
         forms.append((cov, off))

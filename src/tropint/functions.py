@@ -21,15 +21,14 @@ from .polyhedra import (
     VerificationError,
     _build_from_hom,
     _integers,
+    _normal_sums,
     _refine,
     _space_cell,
     add_cycles,
     check_cover,
     cut_cell_by_hom_forms,
     empty_cycle,
-    facet_data,
     intersect_cells,
-    lattice_normal,
     make_cycle,
     refine_complexes,
     scale_cycle,
@@ -314,21 +313,12 @@ class _Faces:
     def __init__(self, x, carrier, hosts=None):
         if hosts is None:
             x, hosts = _refine(x, carrier)
-        cells = [c for c, _ in x.cells]
         index = {}
-        at = [index.setdefault(hosts[c], len(index)) for c in cells]
+        at = [index.setdefault(hosts[c], len(index)) for c, _ in x.cells]
         self.hosts = tuple(index)
         self.faces = faces = []
-        for tau, around in facet_data(cells).items():
-            sums = {}  # host index -> weighted lattice normals in that host
-            for idx, form in around:
-                cell, w = x.cells[idx]
-                u = lattice_normal(cell, tau, form)
-                acc = sums.get(at[idx])
-                if acc is None:
-                    sums[at[idx]] = [w * a for a in u]
-                else:
-                    sums[at[idx]] = [s + w * a for s, a in zip(acc, u)]
+        # sums: host index -> weighted lattice normals in that host
+        for tau, first, sums in _normal_sums(x, at):
             total = [sum(col) for col in zip(*sums.values())]
             if not tau.spans_direction(total):
                 raise UnbalancedCycleError(
@@ -336,7 +326,6 @@ class _Faces:
                 )
             if len(sums) == 1:
                 continue
-            first = at[around[0][0]]
             sums[first] = [s - t for s, t in zip(sums[first], total)]
             forms = tuple((h, v) for h, v in sums.items() if any(v))
             if forms:

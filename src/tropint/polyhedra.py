@@ -20,9 +20,13 @@ of a cell is the integer kernel of its span equations.  Intersections and
 cuts by hyperplanes and halfspaces share the cut of the homogeneous
 generators (equations first, then inequalities).
 
-Containment of points, directions and cells is one test of homogeneous
-integer vectors against the H-representation; a contained cell is tested
-through its cached homogeneous generators.  Refining a cycle along a
+A cell keeps the homogeneous generators it was built from: the primitive
+(w, t) of each vertex w/t, the (r, 0) of each ray and the HNF lineality
+basis, as the build reduced them modulo the lineality.  Their sum lies
+in the relative interior of the homogenization; dehomogenized, it is the
+point `relint_point` returns and the point a refinement signs.  Containment of points, directions and cells is one test of
+homogeneous integer vectors against the H-representation; a contained
+cell is tested through its generators.  Refining a cycle along a
 carrier complex reports, for each piece, the carrier cell it came from
 (the containing cell, or the cell it was intersected with), so divisors
 read covectors without locating points.  A refinement signs each cell
@@ -41,7 +45,8 @@ Products of cells are built from the factors' homogeneous generators, so
 a product found in the build memo costs no Fraction arithmetic.
 Balancing around a codimension-one cell tau is tested with integer dot
 products: a sum of lattice normals lies in the span of tau iff every span
-equation of tau vanishes on it.
+equation of tau vanishes on it.  That sum of weighted lattice normals is
+written once (`_normal_sums`); divisors read it split by carrier cell.
 
 Conventions:
   * a cell with no vertices is the empty cell;
@@ -235,10 +240,12 @@ class Cell:
         "_hom_lin",
         "_facet_cells",
         "_dirlat",
-        "_relint",
     )
 
-    def __init__(self, ambient_dim, vertices, rays, lineality, dim, hom_facets, hom_eqs):
+    def __init__(
+        self, ambient_dim, vertices, rays, lineality, dim, hom_facets, hom_eqs,
+        hom_gens, hom_lin,
+    ):
         self.ambient_dim = ambient_dim
         self.vertices = vertices
         self.rays = rays
@@ -247,11 +254,10 @@ class Cell:
         self.hom_facets = hom_facets
         self.hom_eqs = hom_eqs
         self._hash = hash((ambient_dim, vertices, rays, lineality))
-        self._hom_gens = None
-        self._hom_lin = None
+        self._hom_gens = hom_gens
+        self._hom_lin = hom_lin
         self._facet_cells = None
         self._dirlat = None
-        self._relint = None
 
     @property
     def is_empty(self):
@@ -285,19 +291,12 @@ class Cell:
     # -- derived data -------------------------------------------------
 
     def hom_gens(self):
-        if self._hom_gens is None:
-            gens = []
-            for v in self.vertices:
-                w, _ = clear_denominators(tuple(v) + (1,))
-                gens.append(primitive_vector(w))
-            for r in self.rays:
-                gens.append(tuple(r) + (0,))
-            self._hom_gens = tuple(gens)
+        """The primitive homogeneous generators (w, t) the cell was built
+        from: one per vertex w/t, in vertex order, then (r, 0) per ray."""
         return self._hom_gens
 
     def hom_lin(self):
-        if self._hom_lin is None:
-            self._hom_lin = tuple(tuple(l) + (0,) for l in self.lineality)
+        """The lineality basis as homogeneous directions (l, 0)."""
         return self._hom_lin
 
     def _holds(self, w):
@@ -327,21 +326,12 @@ class Cell:
         )
 
     def relint_point(self):
-        """A rational point in the relative interior."""
+        """A rational point in the relative interior: the sum of the
+        homogeneous generators (`_interior`), dehomogenized."""
         if self.is_empty:
             raise TropicalGeometryError("empty cell has no relative interior")
-        if self._relint is None:
-            n = self.ambient_dim
-            k = len(self.vertices)
-            p = [Fraction(0)] * n
-            for v in self.vertices:
-                for i in range(n):
-                    p[i] += Fraction(v[i], k)
-            for r in self.rays:
-                for i in range(n):
-                    p[i] += r[i]
-            self._relint = tuple(p)
-        return self._relint
+        w = _interior(self)
+        return tuple(Fraction(x, w[-1]) for x in w[:-1])
 
     def direction_lattice(self):
         """HNF basis of the saturated lattice of directions along the cell:
@@ -393,8 +383,15 @@ def _intern(cell):
 
 
 def _empty_cell(ambient_dim):
-    cell = Cell(ambient_dim, (), (), (), -1, (), ())
+    cell = Cell(ambient_dim, (), (), (), -1, (), (), (), ())
     return _intern(cell)
+
+
+def _interior(cell):
+    """The sum of the cell's homogeneous generators.  It is a positive
+    combination of all of them, so it lies in the relative interior of the
+    homogenization: (p, t) with p / t in the relative interior of the cell."""
+    return [sum(col) for col in zip(*cell.hom_gens())]
 
 
 def _facets_by_incidence(hgens, eqs, candidates):
@@ -476,7 +473,7 @@ def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
     if candidates is None:
         t = _unit_rows(1, n1, ambient_dim)
         hgens, _ = _cut(t, _unit_rows(ambient_dim, n1), t, eqs, facets)
-    verts = set()
+    verts = {}  # vertex -> its primitive homogeneous generator
     rays = set()
     for g in hgens:
         gg = _reduce_mod(g, plin)
@@ -484,17 +481,20 @@ def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
             raise VerificationError("a generator lies in the lineality of the facets")
         t = gg[-1]
         if t > 0:
-            verts.add(tuple(x // t if x % t == 0 else Fraction(x, t) for x in gg[:-1]))
+            verts[tuple(x // t if x % t == 0 else Fraction(x, t) for x in gg[:-1])] = gg
         else:
-            rays.add(gg[:-1])
+            rays.add(gg)
+    vs, rays = tuple(sorted(verts)), tuple(sorted(rays))
     cell = Cell(
         ambient_dim,
-        tuple(sorted(verts)),
-        tuple(sorted(rays)),
+        vs,
+        tuple(r[:-1] for r in rays),
         tuple(l[:-1] for l in plin),
         n1 - len(eqs) - 1,
         facets,
         eqs,
+        tuple(verts[v] for v in vs) + rays,
+        plin,
     )
     cell = _intern(cell)
     _BUILD_MEMO[memo_key] = cell
@@ -679,10 +679,6 @@ class Complex:
             if c.ambient_dim != ambient_dim:
                 raise TropicalGeometryError("mixed ambient dimensions in complex")
 
-    @property
-    def dim(self):
-        return max((c.dim for c in self.maximal), default=-1)
-
     def all_cells(self):
         """Every cell of the complex, closed under taking faces."""
         if self._closure is None:
@@ -727,9 +723,6 @@ class Complex:
             if c.contains_point(p):
                 return c
         return None
-
-    def contains_cell(self, cell):
-        return any(c.contains_cell(cell) for c in self.maximal)
 
     def validate(self):
         """Check the pairwise face condition exactly; raise on violation."""
@@ -1011,7 +1004,7 @@ def _held_sides(cell, forms):
     """The sides of the sparse hyperplanes `forms`, given and coded as in
     Complex._side_needs, that hold at the sum of the cell's homogeneous
     generators, a point of its relative interior."""
-    point = [sum(col) for col in zip(*cell.hom_gens())]
+    point = _interior(cell)
     held = set()
     for h, form in enumerate(forms):
         s = sum([point[i] * v for i, v in form])
@@ -1107,17 +1100,13 @@ def check_cover(sigma, pieces):
         raise TropicalGeometryError("carrier does not cover cycle")
     if len(pieces) == 1 and pieces[0] == sigma:
         return
-    census = {}
-    for p in pieces:
-        for child, form in p.facet_cells():
-            census.setdefault(child, []).append(form)
     boundary = set(sigma.hom_facets)
-    for forms in census.values():
-        if len(forms) == 2:
+    for around in facet_data(pieces).values():
+        if len(around) == 2:
             continue
-        if len(forms) > 2:
+        if len(around) > 2:
             raise VerificationError("refinement pieces overlap")
-        if forms[0] not in boundary:
+        if around[0][1] not in boundary:
             raise TropicalGeometryError("carrier does not cover cycle")
 
 
@@ -1140,22 +1129,38 @@ def refine_complexes(f, g):
     return Complex(f.ambient_dim, list(kept)), kept
 
 
+def _normal_sums(x, group):
+    """The weighted lattice normals around each codimension-one cell of
+    the cycle x, summed per group of cells.
+
+    `group[i]` is the group of the i-th cell of x.  Yields (tau, first,
+    sums) for each codimension-one cell tau: the group of the first cell
+    around tau, and a dict from the group of each cell sigma around tau
+    to the sum of w(sigma) u_sigma/tau over the cells of that group.  The
+    sum over all groups is the balancing sum at tau, and also the normal
+    that the divisor formula evaluates phi_tau on.
+    """
+    for tau, around in facet_data([c for c, _ in x.cells]).items():
+        sums = {}
+        for idx, form in around:
+            cell, w = x.cells[idx]
+            u = lattice_normal(cell, tau, form)
+            acc = sums.get(group[idx])
+            if acc is None:
+                sums[group[idx]] = [w * a for a in u]
+            else:
+                sums[group[idx]] = [s + w * a for s, a in zip(acc, u)]
+        yield tau, group[around[0][0]], sums
+
+
 def is_balanced(x):
     """Exact balancing check around every codimension-one cell."""
     if x.is_empty or x.dim == 0:
         return True
-    cells = [c for c, _ in x.cells]
-    weights = [w for _, w in x.cells]
-    n = x.ambient_dim
-    for tau, around in facet_data(cells).items():
-        total = [0] * n
-        for idx, form in around:
-            u = lattice_normal(cells[idx], tau, form)
-            for i in range(n):
-                total[i] += weights[idx] * u[i]
-        if not tau.spans_direction(total):
-            return False
-    return True
+    return all(
+        tau.spans_direction(sums[0])
+        for tau, _, sums in _normal_sums(x, (0,) * len(x.cells))
+    )
 
 
 def star(x, tau, point):
@@ -1169,7 +1174,7 @@ def star(x, tau, point):
     items = []
     for sigma, w in x.cells:
         if sigma.contains_cell(tau):
-            if is_face(sigma, tau) or sigma == tau:
+            if is_face(sigma, tau):
                 found = True
             items.append((star_cell(sigma, point), w))
     if not found:

@@ -252,3 +252,51 @@ def test_internal_verification_failure_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "intersect_cycles", boom)
     code, _, err = run(capsys, "intersect", a, a, "--ambient", "lnk:2,1")
     assert code == 2 and "verification failure" in err
+
+
+def test_parenthesized_ambients_give_the_same_bytes(tmp_path, capsys):
+    line = write(tmp_path / "line.cycle", build_lnk(3, 1))
+    plane = write(tmp_path / "plane.cycle", cross(rn_cycle(1), build_lnk(2, 1)))
+    point = make_cycle(1, 0, [(make_cell(1, [(2,)]), 1)])
+    curve_ = write(tmp_path / "curve.cycle", cross(point, build_lnk(2, 1)))
+    for a, b, ambients in [
+        (line, line, ["lnk:3,2", "(lnk:3,2)", " ((lnk:3,2)) "]),
+        (plane, curve_, ["product:rn:1;lnk:2,1", "product:(rn:1);(lnk:2,1)"]),
+    ]:
+        outs = set()
+        for amb in ambients:
+            code, out, _ = run(capsys, "intersect", a, b, "--ambient", amb, "--quiet")
+            assert code == 0 and out
+            outs.add(out)
+        assert len(outs) == 1, ambients
+
+
+def test_bad_ambients_exit_one(tmp_path, capsys):
+    line = write(tmp_path / "line.cycle", build_lnk(2, 1))
+    for amb, message in [
+        ("product:(rn:1;rn:1", "unbalanced parentheses"),
+        ("product:rn:1);(rn:1", "unbalanced parentheses"),
+        ("(rn:1);(rn:1)", "unknown ambient"),
+        ("lnk:a,2", "expected 2 comma-separated integers"),
+    ]:
+        code, out, err = run(capsys, "intersect", line, line, "--ambient", amb)
+        assert code == 1 and out == "" and message in err, amb
+
+
+def test_diagonal_rewrite_verify_gives_the_same_bytes(capsys):
+    argv = ("diagonal-rewrite", "--n", "3", "--k", "1", "--quiet")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, verified, _ = run(capsys, *argv, "--verify")
+    assert code == 0 and verified == plain
+
+
+def test_pullback_of_a_point_off_the_target_exits_one(tmp_path, capsys):
+    # (1, 2) lies in R^2 but not in L^2_1
+    pmap = write(tmp_path / "p2.map", projection_morphism((2, 2), 1))
+    pt = write(tmp_path / "pt.cycle", make_cycle(2, 0, [(make_cell(2, [(1, 2)]), 1)]))
+    amb = "product:lnk:2,1;lnk:2,1"
+    code, out, err = run(
+        capsys, "pullback", pmap, pt, "--source", amb, "--target", "lnk:2,1"
+    )
+    assert code == 1 and out == "" and "support leaves the target space" in err

@@ -170,3 +170,78 @@ def test_unbalanced_doc_still_parses():
     # balancing is a semantic check, not a schema check
     x = make_cycle(2, 1, [(cone_from_generators(2, [(1, 0)]), 1)])
     assert roundtrip(x) == x
+
+
+def _docs():
+    """Fresh documents of every kind to corrupt."""
+    from tropint.formats import to_document
+
+    return {
+        "cycle": to_document(build_lnk(2, 1)),
+        "function": to_document(ray_function(build_lnk(2, 1), {(1, 1): 1})),
+        "morphism": to_document(identity_morphism(2)),
+        "diagonal": to_document(rewrite_diagonal(2, 1)),
+    }
+
+
+def _set(*path):
+    """A mutation that sets the entry at path[:-1] to path[-1]."""
+
+    def mutate(doc):
+        for key in path[:-2]:
+            doc = doc[key]
+        doc[path[-2]] = path[-1]
+
+    return mutate
+
+
+MALFORMED = [
+    # (kind, mutation, a match that names the field)
+    ("cycle", _set("cells", 0, "weight", "1.5"), r"cells\[0\]: expected an integer string"),
+    ("cycle", _set("rays", 0, 0, "one"), r"rays\[0\]: expected an integer string"),
+    ("cycle", _set("vertices", 0, 0, "1/0"), r"vertices\[0\]: expected a rational string"),
+    ("cycle", _set("cells", 0, []), r"cells\[0\]: expected an object"),
+    ("cycle", _set("ambient_dim", "2"), r"ambient_dim: expected an integer"),
+    ("cycle", _set("dim", True), r"\.dim: expected an integer"),
+    ("cycle", _set("rays", {}), r"\.rays: expected a list"),
+    ("cycle", _set("cells", 0, "lineality", "0"), r"\.lineality: expected a list"),
+    ("cycle", _set("ambient_dim", -1), r"ambient_dim: must be nonnegative"),
+    ("function", _set("ambient_dim", -2), r"ambient_dim: must be nonnegative"),
+    ("function", lambda d: d["cells"].append(d["cells"][0]), "carrier cells must be distinct"),
+    ("function", _set("cells", 0, "covector", ["1"]), r"covector: expected a vector"),
+    ("function", _set("cells", 0, "offset", "1/x"), r"offset: expected a rational string"),
+    ("morphism", _set("source_dim", -1), "dimensions must be nonnegative"),
+    ("morphism", lambda d: d["matrix"].pop(), r"matrix: expected 2 rows"),
+    ("morphism", _set("target_dim", 1.0), r"target_dim: expected an integer"),
+    ("diagonal", _set("k", 2), "k <= n and space_dim = n - k"),
+    ("diagonal", _set("verified", "yes"), r"verified: expected a boolean"),
+    ("diagonal", _set("terms", 0, "factors", 0, {}), r"factors\[0\]: expected a nonempty symbol"),
+    ("diagonal", _set("terms", 0, "factors", 0, "T7", "1"), r"factors\[0\]: symbol T7 exceeds n"),
+]
+
+
+@pytest.mark.parametrize("kind, mutate, match", MALFORMED)
+def test_parse_rejects_malformed_documents_naming_the_field(kind, mutate, match):
+    doc = _docs()[kind]
+    mutate(doc)
+    with pytest.raises(FormatError, match=match):
+        parse_document(json.dumps(doc))
+
+
+def test_parse_and_serialize_reject_what_has_no_document():
+    for text in ("[]", '"cycle"', "3"):
+        with pytest.raises(FormatError, match="document: expected an object"):
+            parse_document(text)
+    with pytest.raises(FormatError, match="no interchange form for object"):
+        serialize(object())
+
+
+def test_malformed_document_exits_one_naming_the_field(tmp_path, capsys):
+    from tropint import cli
+
+    doc = _docs()["cycle"]
+    doc["ambient_dim"] = -1
+    path = tmp_path / "bad.cycle"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["degree", str(path)]) == 1
+    assert "ambient_dim: must be nonnegative" in capsys.readouterr().err

@@ -578,3 +578,20 @@ def test_pullback_requires_a_cycle_in_the_target_space():
     for c in (point((1,)), build_lnk(3, 2)):
         with pytest.raises(TropicalGeometryError, match="does not live in the target"):
             pullback_cycle(p2, c, source, l21)
+
+
+def test_pullback_and_pushforward_input_checks():
+    r2, l21 = linear_space_context(2, 2), linear_space_context(2, 1)
+    source = product_context(l21, l21)
+    p2 = projection_morphism([2, 2], 1)
+    for f, c, src, message in [
+        (identity_morphism(3), build_lnk(2, 1), l21, "morphism does not match the contexts"),
+        (identity_morphism(2), build_lnk(2, 1), r2, "does not map source into target"),
+        (p2, point((1, 2)), source, "cycle support leaves the target space"),
+    ]:
+        with pytest.raises(TropicalGeometryError, match=message):
+            pullback_cycle(f, c, src, l21)
+    out = pullback_cycle(p2, empty_cycle(2), source, l21)
+    assert out.is_empty and out.ambient_dim == 4
+    with pytest.raises(TropicalGeometryError, match="does not live in the source"):
+        pushforward(identity_morphism(2), build_lnk(3, 2))

@@ -43,7 +43,7 @@ from tropint.intersect import (
     pullback_cycle,
     star_context,
 )
-from tropint.linspace import build_lnk
+from tropint.linspace import build_fnk, build_lnk
 from tropint.polyhedra import (
     _BUILD_MEMO,
     _CELL_POOL,
@@ -1383,3 +1383,43 @@ def test_refinement_cuts_each_piece_once():
     # the reference loop cuts a piece once per carrier cell holding it
     _, again = _cuts_per_piece(x, carrier, _reference_refine)
     assert set(again) == pieces and max(again.values()) > 1
+
+
+def hom_gens_by_vertices(cell):
+    """The homogeneous generators re-derived from the vertices and rays:
+    (w, t) primitive with w / t a vertex, in vertex order, then (r, 0)."""
+    gens = tuple(
+        primitive_vector(clear_denominators(tuple(v) + (1,))[0]) for v in cell.vertices
+    )
+    return gens + tuple(tuple(r) + (0,) for r in cell.rays)
+
+
+def test_cells_keep_the_generators_their_vertices_give():
+    """Every cell built in a seeded L^3_2 product, in F^3_3, by make_cell
+    from redundant generators, and as faces and cuts of those keeps the
+    homogeneous generators that its vertices, rays and lineality give, and
+    its interior point lies in no proper face."""
+    rng = random.Random(16)
+    clear_caches()
+    ctx = linear_space_context(3, 2)
+    assert not intersect_cycles(_seeded_curve(rng), _seeded_affine_curve(rng), ctx).is_empty
+    fan = build_fnk(3, 3)
+    built = []
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        cell = cell_with_lineality(rng, n)
+        built.append(_build_from_hom(n, messy_generators(rng, cell), cell.hom_lin()))
+        built.append(random_cell(rng))
+    for cell in fan.maximal + tuple(built):
+        for child, _ in cell.facet_cells():
+            if not child.is_empty:
+                built.append(child.face_at(child.vertices[0]))
+        a = (1,) + tuple(rng.randint(-2, 2) for _ in range(cell.ambient_dim - 1))
+        h = a + (-math.floor(vec_dot(a, cell.relint_point())),)
+        built.append(cut_cell_by_hom_forms(cell, (h,)))
+    cells = [c for c in _CELL_POOL.values() if not c.is_empty]
+    assert set(fan.maximal) <= set(cells) and len(cells) > 500
+    for cell in cells:
+        assert cell.hom_gens() == hom_gens_by_vertices(cell), cell
+        assert cell.hom_lin() == tuple(tuple(l) + (0,) for l in cell.lineality), cell
+        assert cell.face_at(cell.relint_point()) == cell, cell
