@@ -42,7 +42,13 @@ follows works on facet forms: a facet of a single piece is on the
 boundary iff its inequality is one of the cell's own.
 
 Products of cells are built from the factors' homogeneous generators, so
-a product found in the build memo costs no Fraction arithmetic.
+a product found in the build memo costs no Fraction arithmetic.  A cell
+built from a known cell takes the span equations, lineality basis and
+direction lattice it shares with it (`_build_from_hom`,
+`Cell.direction_lattice`), so the integer kernels run only for bare
+generators, for faces' span equations, for cuts that change the span or
+the lineality, and for the lattices of cells of dimension two or more
+that are neither such cuts nor products.
 Balancing around a codimension-one cell tau is tested with integer dot
 products: a sum of lattice normals lies in the span of tau iff every span
 equation of tau vanishes on it.  That sum of weighted lattice normals is
@@ -123,10 +129,19 @@ def _cut(rays, lin, facets, eqs, ineqs):
     adjacent, that is when no third ray is tight on every form that is
     tight on both.  A facet missing from `facets` would make that test
     too strict and drop extreme rays.
+
+    Returns (rays, lin, kept).  A form crossing the lineality drops one
+    vector from `lin`, so `lin` is returned as given, and spans the
+    lineality of the cut cone too, iff it keeps its length.  `kept` is
+    true when the cut cone has the span of the given one: every
+    inequality crossed the lineality, had a ray strictly on its positive
+    side or vanished on the cone, and every equality vanished on the
+    cone.
     """
     gens = {
         r: sum(1 << j for j, f in enumerate(facets) if vec_dot(f, r) == 0) for r in rays
     }
+    kept = True
     bit = 1 << len(facets)
     for k, a in enumerate(tuple(eqs) + tuple(ineqs)):
         equality = k < len(eqs)
@@ -135,6 +150,7 @@ def _cut(rays, lin, facets, eqs, ineqs):
             # slide every generator onto a = 0 along a lineality direction
             # crossing it; for a halfspace that direction becomes a ray,
             # tight on every earlier form since they vanish on the lineality
+            kept = kept and not equality
             if vec_dot(a, pivot) < 0:
                 pivot = vec_neg(pivot)
             new = {_onto(a, r, pivot): mask | bit for r, mask in gens.items()}
@@ -153,6 +169,7 @@ def _cut(rays, lin, facets, eqs, ineqs):
                     pos.append((r, mask))
                     if not equality:
                         new[r] = mask
+            kept = kept and not (pos or neg if equality else neg and not pos)
             masks = gens.values()
             for p, pmask in pos:
                 for m, mmask in neg:
@@ -161,7 +178,7 @@ def _cut(rays, lin, facets, eqs, ineqs):
                         new[_onto(a, m, p)] = both | bit
         gens = new
         bit <<= 1
-    return tuple(gens), lin
+    return tuple(gens), lin, kept
 
 
 def _reduce_mod(v, basis):
@@ -337,12 +354,37 @@ class Cell:
         """HNF basis of the saturated lattice of directions along the cell:
         the integer kernel of the span equations with t dropped, since r
         is a direction along the cell iff (r, 0) lies in the span of the
-        homogenization."""
-        if self._dirlat is None:
-            self._dirlat = integer_kernel(
-                [e[:-1] for e in self.hom_eqs], self.ambient_dim
-            )
-        return self._dirlat
+        homogenization.
+
+        A cell of dimension at most one needs no kernel: one primitive
+        direction, led by a positive entry, is the HNF basis of its
+        lattice.  A cut that keeps the span of its cell, and a product,
+        are built with a function here instead (`cut_cell_by_hom_forms`,
+        `cross_cells`): the same span has the same lattice, and the
+        directions of a product are the pairs of its factors' directions,
+        so its lattice is the block of theirs, zero-padded, which is in
+        HNF.  The function is called on first use, so it computes nothing
+        the cell does not need."""
+        lat = self._dirlat
+        if type(lat) is tuple:
+            return lat
+        if 0 <= self.dim <= 1:
+            gens = self.hom_lin() + self.hom_gens()
+            d = next((g[:-1] for g in gens if not g[-1]), None)
+            if d is None and self.dim == 1:  # a segment between two vertices
+                (g, h) = gens
+                d = tuple(g[-1] * y - h[-1] * x for x, y in zip(g[:-1], h[:-1]))
+            if d is None:
+                lat = ()
+            else:
+                d = primitive_vector(d)
+                lat = (d if next(x for x in d if x) > 0 else vec_neg(d),)
+        elif lat is None:
+            lat = integer_kernel([e[:-1] for e in self.hom_eqs], self.ambient_dim)
+        else:
+            lat = lat()
+        self._dirlat = lat
+        return lat
 
     def facet_cells(self):
         """List of (facet cell, homogeneous facet inequality) pairs."""
@@ -368,9 +410,11 @@ class Cell:
 
     def _face(self, gens):
         """The face spanned by some of the homogeneous generators; the
-        cell's facets contain those of the face."""
+        cell's facets contain those of the face, and its lineality is the
+        face's."""
+        lin = self.hom_lin()
         return _build_from_hom(
-            self.ambient_dim, gens, self.hom_lin(), lambda: self.hom_facets
+            self.ambient_dim, gens, lin, lambda: self.hom_facets, plin=lin
         )
 
 
@@ -423,7 +467,7 @@ def _facets_by_incidence(hgens, eqs, candidates):
     return tuple(sorted(_reduce_mod(faces[m], eqs) for m in maximal))
 
 
-def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
+def _build_from_hom(ambient_dim, hgens, hlin, candidates=None, *, eqs=None, plin=None):
     """Canonical cell from homogeneous generators (last coordinate is t).
 
     The facets are picked by incidence (`_facets_by_incidence`) from
@@ -441,6 +485,18 @@ def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
     the lineality (a face keeps the parent's generators on it, `_cut`
     returns only extreme ones, and a product pairs its factors'), so they
     are only reduced modulo the lineality.
+
+    `eqs` and `plin`, when given, are the HNF bases of the span equations
+    and of the lineality of the cell, which the build otherwise computes
+    as the integer kernels of hgens + hlin and of facets + eqs.  Both
+    bases are canonical, so a cell with the span or the lineality of a
+    known cell takes that cell's.  `cut_cell_by_hom_forms` passes the
+    cell's equations when `_cut` reports that the span was kept, and its
+    lineality when no form crossed the lineality; `Cell._face` passes the
+    parent's lineality, which every face shares, but not its equations:
+    the parent's equations and a facet form need not span a saturated
+    lattice, as (2, 1) and (0, 1) span one without (1, 0).  `cross_cells`
+    passes the block of both factors' lineality bases.
 
     A cell from bare generators (`make_cell`, hence `map_cell`,
     `cone_from_generators`, `star_cell` and parsing) passes no candidates
@@ -460,19 +516,20 @@ def _build_from_hom(ambient_dim, hgens, hlin, candidates=None):
     got = _BUILD_MEMO.get(memo_key)
     if got is not None:
         return got
-    eqs = integer_kernel(hgens + hlin, n1)
+    if eqs is None:
+        eqs = integer_kernel(hgens + hlin, n1)
     if candidates is None:
-        forms, _ = _cut((), _unit_rows(n1), (), hlin, hgens)
+        forms = _cut((), _unit_rows(n1), (), hlin, hgens)[0]
     else:
         forms = candidates()
     facets = _facets_by_incidence(hgens, eqs, forms)
-    plin = integer_kernel(facets + eqs, n1)
-    for l in plin:
-        if l[-1] != 0:
+    if plin is None:
+        plin = integer_kernel(facets + eqs, n1)
+        if any(l[-1] for l in plin):
             raise VerificationError("lineality escaped the homogenization slice")
     if candidates is None:
         t = _unit_rows(1, n1, ambient_dim)
-        hgens, _ = _cut(t, _unit_rows(ambient_dim, n1), t, eqs, facets)
+        hgens = _cut(t, _unit_rows(ambient_dim, n1), t, eqs, facets)[0]
     verts = {}  # vertex -> its primitive homogeneous generator
     rays = set()
     for g in hgens:
@@ -563,12 +620,26 @@ def intersect_cells(a, b):
 
 
 def cut_cell_by_hom_forms(cell, ineqs, eqs=()):
-    """cell intersected with homogeneous halfspaces and hyperplanes."""
+    """cell intersected with homogeneous halfspaces and hyperplanes.
+
+    A cut that keeps the cell's span keeps its span equations and
+    direction lattice, and one whose forms all vanish on the lineality
+    keeps its lineality basis (`_cut` tells both)."""
     ineqs = tuple(ineqs)
-    rays, lin = _cut(cell.hom_gens(), cell.hom_lin(), cell.hom_facets, eqs, ineqs)
-    return _build_from_hom(
-        cell.ambient_dim, rays, lin, lambda: cell.hom_facets + ineqs
+    cell_lin = cell.hom_lin()
+    rays, lin, kept = _cut(cell.hom_gens(), cell_lin, cell.hom_facets, eqs, ineqs)
+    out = _build_from_hom(
+        cell.ambient_dim,
+        rays,
+        lin,
+        lambda: cell.hom_facets + ineqs,
+        eqs=cell.hom_eqs if kept else None,
+        plin=lin if len(lin) == len(cell_lin) else None,
     )
+    # a proper subset of the cell, so lattices never refer back in a cycle
+    if kept and out._dirlat is None and out != cell:
+        out._dirlat = cell.direction_lattice
+    return out
 
 
 def cross_cells(a, b):
@@ -599,17 +670,26 @@ def cross_cells(a, b):
     ]
     hgens += [g[:-1] + zb for g in ga if not g[-1]]
     hgens += [za + u for u in gb if not u[-1]]
-    hlin = [l[:-1] + zb for l in a.hom_lin()] + [za + l for l in b.hom_lin()]
+    # the block of two HNF bases is the HNF basis of the product lineality
+    hlin = tuple(l[:-1] + zb for l in a.hom_lin()) + tuple(za + l for l in b.hom_lin())
+    pad = (0,) * b.ambient_dim
 
     def candidates():
-        pad = (0,) * b.ambient_dim
         return [f[:-1] + pad + f[-1:] for f in a.hom_facets] + [
             za + f for f in b.hom_facets
         ]
 
-    return _build_from_hom(
-        a.ambient_dim + b.ambient_dim, tuple(hgens), tuple(hlin), candidates
+    def lattice():
+        return tuple(l + pad for l in a.direction_lattice()) + tuple(
+            za + l for l in b.direction_lattice()
+        )
+
+    out = _build_from_hom(
+        a.ambient_dim + b.ambient_dim, tuple(hgens), hlin, candidates, plin=hlin
     )
+    if out._dirlat is None:
+        out._dirlat = lattice
+    return out
 
 
 def is_face(cell, face):

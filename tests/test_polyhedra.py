@@ -731,7 +731,7 @@ def facets_by_rank(hgens, hlin):
     n1 = len(hgens[0])
     eqs = integer_kernel(hgens + hlin, n1)
     rank = n1 - len(eqs)
-    drays, _ = polyhedra._cut((), _unit_rows(n1), (), hlin, hgens)
+    drays = polyhedra._cut((), _unit_rows(n1), (), hlin, hgens)[0]
     facets = set()
     for d in drays:
         tight = [g for g in hgens if vec_dot(g, d) == 0] + list(hlin)
@@ -795,8 +795,8 @@ def extremes_checked(monkeypatch):
     build = polyhedra._build_from_hom
     checked = []
 
-    def checking(ambient_dim, hgens, hlin, candidates=None):
-        cell = build(ambient_dim, hgens, hlin, candidates)
+    def checking(ambient_dim, hgens, hlin, candidates=None, **known):
+        cell = build(ambient_dim, hgens, hlin, candidates, **known)
         if not cell.is_empty:
             want = extremes_by_rank(hgens, cell.hom_facets, cell.hom_lin())
             assert set(cell.hom_gens()) == want
@@ -818,8 +818,8 @@ def dual_checked(monkeypatch, extremes_checked):
     builds = []
     bare = []
 
-    def checking(ambient_dim, hgens, hlin, candidates=None):
-        cell = build(ambient_dim, hgens, hlin, candidates)
+    def checking(ambient_dim, hgens, hlin, candidates=None, **known):
+        cell = build(ambient_dim, hgens, hlin, candidates, **known)
         if candidates is None:
             bare.append(len(hgens))
             if not cell.is_empty:
