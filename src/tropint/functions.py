@@ -357,40 +357,43 @@ def divisor(phi, x):
     return CartierExpression(((1, (phi,)),)).apply(x)
 
 
-def _merge(terms):
-    """sum c phi over (c, phi) pairs of functions on equal cells; a lone
-    function with coefficient one is kept as it is."""
-    (c, phi), rest = terms[0], terms[1:]
-    if c == 1 and not rest:
-        return phi
-    out = scale_function(phi, c)
-    for c, psi in rest:
-        out = add_functions(out, scale_function(psi, c))
-    return out
+def _merge(pairs):
+    """sum c phi over the (c, phi) pairs, one function per carrier; a lone
+    phi with coefficient one is kept as it is."""
+    groups = {}
+    for c, phi in pairs:
+        groups.setdefault(phi.cells, []).append((c, phi))
+    out = []
+    for (c, phi), *rest in groups.values():
+        total = phi if c == 1 and not rest else scale_function(phi, c)
+        for c, psi in rest:
+            total = add_functions(total, scale_function(psi, c))
+        out.append(total)
+    return tuple(out)
 
 
-def _plan(terms, depth=0):
+def _plan(terms, merge, depth=0):
     """The factor tree of (coefficient, factors) terms from factor `depth`
-    on, as (scalar, last, groups): the summed coefficient of the terms
-    with no factor left, the sum c phi of the terms with one factor left
-    per carrier (the divisor of a fixed cycle is linear in phi), and
-    (phi, subtree) for the terms with more, by their next factor."""
+    on, as (scalar, leaves, groups): the summed coefficient of the terms
+    with no factor left, the leaves `merge` makes of the (coefficient,
+    factor) pairs of the terms with one factor left (a divisor is linear
+    in its function), and (factor, subtree) for the terms with more, by
+    their next factor (a PLFunction equals only itself).  The fan check
+    `linspace._SymbolFan.apply` plans with it too."""
     scalar = 0
-    last = {}
+    last = []
     groups = {}
     for coeff, factors in terms:
         if len(factors) == depth:
             scalar += coeff
         elif len(factors) == depth + 1:
-            phi = factors[depth]
-            last.setdefault(phi.cells, []).append((coeff, phi))
+            last.append((coeff, factors[depth]))
         else:
-            phi = factors[depth]
-            groups.setdefault(id(phi), (phi, []))[1].append((coeff, factors))
+            groups.setdefault(factors[depth], []).append((coeff, factors))
     return (
         scalar,
-        tuple(_merge(fs) for fs in last.values()),
-        tuple((phi, _plan(group, depth + 1)) for phi, group in groups.values()),
+        merge(last) if last else (),
+        tuple((f, _plan(group, merge, depth + 1)) for f, group in groups.items()),
     )
 
 
@@ -400,13 +403,13 @@ class CartierExpression:
     Terms are (coefficient, factors) pairs; applying the expression to a
     cycle applies each factor of a term in turn as a divisor, scales by
     the coefficient, and sums the results.  The terms are applied as a
-    factor tree (`_plan`, built on first use): terms sharing a first
-    factor share its divisor, and the last factors of sibling terms on
-    one carrier are merged into one function.  A cycle is refined along
-    each carrier once, its faces and lattice normals are computed once for
-    all the functions on that carrier (`_Faces`), and a divisor keeps the
-    hosts of its cells, so the next factor on the same carrier needs no
-    refinement.
+    factor tree (`_plan` with `_merge`, built on first use): terms sharing
+    a first factor share its divisor, and the last factors of sibling
+    terms on one carrier are merged into one function.  A cycle is refined
+    along each carrier once, its faces and lattice normals are computed
+    once for all the functions on that carrier (`_Faces`), and a divisor
+    keeps the hosts of its cells, so the next factor on the same carrier
+    needs no refinement.
     """
 
     __slots__ = ("terms", "_tree")
@@ -430,7 +433,7 @@ class CartierExpression:
 
     def apply(self, x):
         if self._tree is None:
-            self._tree = _plan(self.terms)
+            self._tree = _plan(self.terms, _merge)
         parts = []
         _walk(self._tree, x, None, None, parts)
         result = empty_cycle(x.ambient_dim)
@@ -442,7 +445,7 @@ class CartierExpression:
 def _walk(node, x, hosts, cells, parts):
     """Append the cycles that sum to node . x to parts; hosts, when given,
     maps the cells of x into the carrier cells `cells`."""
-    scalar, last, groups = node
+    scalar, leaves, groups = node
     if scalar:
         parts.append(scale_cycle(x, scalar))
     if x.is_empty or x.dim == 0:
@@ -461,7 +464,7 @@ def _walk(node, x, hosts, cells, parts):
         items, out_hosts = got.divisor(phi)
         return make_cycle(x.ambient_dim, x.dim - 1, items), out_hosts
 
-    for phi in last:
+    for phi in leaves:
         parts.append(divide(phi)[0])
     for phi, child in groups:
         y, y_hosts = divide(phi)

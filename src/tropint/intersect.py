@@ -230,6 +230,18 @@ def product_context(cx, cy):
     return out
 
 
+def _project_product(apply, a, b, expected):
+    """apply(a x b), a diagonal applied to a product, pushed forward along
+    the projection to the first factor, which must leave the expected
+    dimension."""
+    n = a.ambient_dim
+    z = apply(cross(a, b))
+    out = pushforward_cycle(_unit_rows(n, n + b.ambient_dim), z, target_dim=n)
+    if not out.is_empty and out.dim != expected:
+        raise VerificationError("intersection product has unexpected dimension")
+    return out
+
+
 def intersect_cycles(d1, d2, ctx):
     """The stable intersection of d1 and d2 inside the context's ambient.
 
@@ -250,11 +262,7 @@ def intersect_cycles(d1, d2, ctx):
         return empty_cycle(n)
     if not ctx.verified:
         ctx.verify()
-    z = ctx.apply_diagonal(cross(d1, d2))
-    out = pushforward_cycle(_unit_rows(n, 2 * n), z, target_dim=n)
-    if not out.is_empty and out.dim != expected:
-        raise VerificationError("intersection product has unexpected dimension")
-    return out
+    return _project_product(ctx.apply_diagonal, d1, d2, expected)
 
 
 def pullback_cycle(f, c, ctx_source, ctx_target):
@@ -292,8 +300,4 @@ def pullback_cycle(f, c, ctx_source, ctx_target):
     graph_stages = [
         _pull_expression(stage, matrix, translation) for stage in ctx_target.stages
     ]
-    z = _apply_stages(graph_stages, cross(x, c))
-    out = pushforward_cycle(_unit_rows(n, n + m), z, target_dim=n)
-    if not out.is_empty and out.dim != expected:
-        raise VerificationError("intersection product has unexpected dimension")
-    return out
+    return _project_product(lambda z: _apply_stages(graph_stages, z), x, c, expected)

@@ -15,9 +15,9 @@ representation, stars included, is verified exactly on the fan F^n_n:
 [L^n_m x L^n_m] refined along F^n_n is the weight-one subfan F^n_m, every
 factor is a ray function on F^n_n, and F^n_n is unimodular, so the
 divisors are computed with integers alone, on cones given as bitmasks of
-their symbols.  The tuples are applied as a factor tree: shared prefixes
-are divided once, and the last factors of sibling tuples are merged by
-linearity into one combination.  The star at a cell
+their symbols.  The tuples are applied along the factor tree of the
+geometric chain (`functions._plan`): shared prefixes are divided once,
+and sibling last factors are summed by linearity.  The star at a cell
 tau = cone{-e_i : i in I} is the star of that subfan at the cone
 {D_i : i in I}, since divisors commute with taking stars.  Applying the
 PL functions geometrically, as intersection contexts do
@@ -29,7 +29,7 @@ from math import comb
 from operator import mul
 
 from .exactmath import hnf
-from .functions import CartierExpression, PLFunction, ray_function
+from .functions import CartierExpression, PLFunction, _plan, ray_function
 from .polyhedra import (
     Complex,
     TropicalGeometryError,
@@ -308,7 +308,7 @@ class _SymbolFan:
                     "unknown symbol %r for n = %d" % (sym, self.n)
                 )
             out[self.index[sym]] += c
-        return out
+        return tuple(out)
 
     def _basis(self, tau):
         """Every ray expanded in the basis of the host of the cone tau, as
@@ -403,11 +403,13 @@ class _SymbolFan:
         """The weighted subfan sum alpha phi_1 ... phi_m . cones over the
         tuples (alpha, (phi_1, ..., phi_m)) of symbol combinations.
 
-        The tuples are evaluated as a factor tree: tuples sharing a prefix
-        share its divisors, each distinct subfan's faces are computed once
-        for all of its children, and the last factors of sibling tuples are
-        merged by linearity into sum alpha phi_m, which takes one divisor
-        (even when it is zero, so an unbalanced subfan is never skipped).
+        Each combination is first read as its value tuple, and the tuples
+        are evaluated along the factor tree of `functions._plan`: tuples
+        sharing a prefix share its divisors, each distinct subfan's faces
+        are computed once for all of its children, and the last factors of
+        sibling tuples are summed into one value vector, which takes one
+        divisor (even when it is zero, so an unbalanced subfan is never
+        skipped).
         """
         got = {}
 
@@ -415,33 +417,32 @@ class _SymbolFan:
             for tau, w in subfan.items():
                 got[tau] = got.get(tau, 0) + alpha * w
 
-        def walk(cones, terms, depth):
-            last = None
-            groups = {}
-            for alpha, combos in terms:
-                if len(combos) == depth:
-                    add(cones, alpha)
-                    continue
-                values = self.values(combos[depth])
-                if len(combos) == depth + 1:
-                    if last is None:
-                        last = [0] * len(values)
-                    for j, x in enumerate(values):
-                        last[j] += alpha * x
-                else:
-                    groups.setdefault(tuple(values), []).append((alpha, combos))
-            if last is None and not groups:
+        def walk(cones, node):
+            scalar, leaves, groups = node
+            if scalar:
+                add(cones, scalar)
+            if not (leaves or groups):
                 return
             faces = self.faces(cones, fixed)
-            if last is not None:
-                add(self.divisor(faces, last), 1)
-            for values, group in groups.items():
-                child = self.divisor(faces, values)
-                if child:
-                    walk(child, group, depth + 1)
+            for values in leaves:
+                add(self.divisor(faces, values), 1)
+            for values, child in groups:
+                subfan = self.divisor(faces, values)
+                if subfan:
+                    walk(subfan, child)
 
-        walk(cones, tuples, 0)
+        terms = [(alpha, tuple(map(self.values, combos))) for alpha, combos in tuples]
+        walk(cones, _plan(terms, _sum_values))
         return {tau: w for tau, w in got.items() if w}
+
+
+def _sum_values(pairs):
+    """sum alpha values over (alpha, values) pairs, as the one leaf."""
+    total = [0] * len(pairs[0][1])
+    for alpha, values in pairs:
+        for j, x in enumerate(values):
+            total[j] += alpha * x
+    return (total,)
 
 
 def _fan_identity(n, c, tuples, complete, fixed=frozenset()):
@@ -452,8 +453,8 @@ def _fan_identity(n, c, tuples, complete, fixed=frozenset()):
     The base [L^n_c x L^n_c] refined along F^n_n is F^n_c with weight one;
     the complete base [R^n x R^n] is F^n_n.  The diagonal is the subfan on
     the cones {D_i : i in S}, |S| = c, with weight one.  Their stars keep
-    the cones containing `fixed`.  The tuples are applied as a factor tree
-    (`_SymbolFan.apply`).
+    the cones containing `fixed`.  The tuples are applied along the factor
+    tree of `functions._plan` (`_SymbolFan.apply`).
     """
     fan = _SymbolFan(n)
     fixed = fan.mask(fixed)
@@ -652,9 +653,7 @@ def star_diagonal(n, k, tau):
     before returning; at the origin that star is the whole fan.
     """
     space = build_lnk(n, k)
-    if tau.is_empty or not any(
-        sigma == tau or is_face(sigma, tau) for sigma, _ in space.cells
-    ):
+    if tau.is_empty or not any(is_face(sigma, tau) for sigma, _ in space.cells):
         raise TropicalGeometryError("tau is not a cell of the linear space")
     base = rewrite_diagonal(n, n - k)
     rep = DiagonalRepresentation(n, k, base.tuples, tau=tau)

@@ -1101,10 +1101,10 @@ def _refine(x, carrier):
     """Refine the cycle x along a complex covering it, remembering carriers.
 
     Returns (cycle, origin) where origin maps every cell of the cycle to a
-    maximal carrier cell containing it.  When each cell of x already lies
-    in a carrier cell, x is returned as it is; otherwise every cell of x is
-    met with every carrier cell except those that lie on a side of one of
-    their hyperplanes which that cell meets in less than its dimension.
+    maximal carrier cell containing it, the first one for a cell of x that
+    lies in a carrier cell.  Every cell of x is met with every carrier cell
+    except those that lie on a side of one of their hyperplanes which that
+    cell meets in less than its dimension.
 
     Each piece is cut once, since the carrier is a complex.  Let
     p = sigma & c' be a piece already found, of sigma's dimension, and r a
@@ -1118,14 +1118,6 @@ def _refine(x, carrier):
     r holds), and one that holds a piece gets it in the intersection memo,
     as a cut would have put it there, and is not cut.
     """
-    origin = {}
-    for sigma, _ in x.cells:
-        host = next((c for c in carrier.maximal if c.contains_cell(sigma)), None)
-        if host is None:
-            break
-        origin[sigma] = host
-    else:
-        return x, origin
     origin = {}
     items = []
     forms, needs = carrier._side_needs()

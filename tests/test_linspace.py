@@ -3,11 +3,12 @@ import random
 import pytest
 
 from test_exactmath import frac_det
-from tropint.functions import UnbalancedCycleError, divisor
+from tropint.functions import UnbalancedCycleError, _merge, _plan, divisor
 from tropint.intersect import AmbientContext
 from tropint.linspace import (
     _SymbolFan,
     _fan_identity,
+    _sum_values,
     _symbol_cones,
     _symbols,
     build_fnk,
@@ -323,6 +324,33 @@ def test_factor_tree_merged_zero_leaf_still_checks_balance():
     assert fan.apply(tuples, base) == {} == _flat_apply(fan, tuples, base)
     # the zero-length tuple alone is the base itself, never divided
     assert fan.apply(((3, ()),), {lone: 1}) == {lone: 3}
+
+
+def test_fan_apply_reads_every_combination_first():
+    # an unknown symbol raises even where its prefix divides to nothing
+    fan = _SymbolFan(2)
+    tuples = ((1, ({("T", 1): 1}, {("Q", 0): 1})),)
+    with pytest.raises(TropicalGeometryError, match="unknown symbol"):
+        fan.apply(tuples, {})
+
+
+def _tree_shape(node):
+    """A factor tree's scalar, number of leaves and subtree shapes."""
+    scalar, leaves, groups = node
+    return scalar, len(leaves), tuple(_tree_shape(child) for _, child in groups)
+
+
+def test_both_engines_plan_the_same_factor_tree():
+    """The fan check plans value tuples and the geometric chain plans
+    symbol functions, with one planner: the trees have the same shape."""
+    reps = [rewrite_diagonal(n, k) for n, k in [(3, 1), (4, 1), (4, 2), (5, 2)]]
+    reps.append(star_diagonal(4, 3, cone_from_generators(4, [(1, 1, 1, 1)])))
+    for rep in reps:
+        fan = _SymbolFan(rep.n)
+        values = [(a, tuple(map(fan.values, combos))) for a, combos in rep.tuples]
+        want = _tree_shape(_plan(values, _sum_values))
+        assert _tree_shape(_plan(rep.expression.terms, _merge)) == want, rep.n
+        assert len(want[2]) > 1
 
 
 def test_diagonal_divisor_product_small():

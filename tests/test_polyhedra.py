@@ -43,7 +43,7 @@ from tropint.intersect import (
     pullback_cycle,
     star_context,
 )
-from tropint.linspace import build_fnk, build_lnk
+from tropint.linspace import build_fnk, build_lnk, fnk_cycle
 from tropint.polyhedra import (
     _BUILD_MEMO,
     _CELL_POOL,
@@ -1348,6 +1348,24 @@ def test_refine_matches_the_reference_loop():
             assert list(polyhedra._INTERSECT_MEMO.items()) == want_memo, name
             cuts += len(want_memo)
         assert cuts, name
+
+
+def test_refine_keeps_cycles_that_lie_in_their_carrier():
+    """A cycle whose cells lie in carrier cells is its own refinement, and
+    each cell is hosted by the first carrier cell, in `carrier.maximal`
+    order, that contains it."""
+    cases = [
+        (build_lnk(3, 1), build_lnk(3, 2).complex()),
+        (build_lnk(4, 2), build_lnk(4, 3).complex()),
+        (fnk_cycle(3, 1), build_fnk(3, 3)),
+        (fnk_cycle(3, 2), build_fnk(3, 3)),
+    ]
+    for x, carrier in cases:
+        refined, origin = _refine(x, carrier)
+        assert refined == x
+        assert list(origin) == [sigma for sigma, _ in x.cells]
+        for sigma, host in origin.items():
+            assert host == next(c for c in carrier.maximal if c.contains_cell(sigma))
 
 
 def _cuts_per_piece(x, carrier, refine=_refine):
