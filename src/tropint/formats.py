@@ -16,13 +16,11 @@ from .intersect import Morphism
 from .linspace import (
     DiagonalRepresentation,
     parse_symbol,
-    rn_cycle,
     symbol_name,
 )
 from .polyhedra import (
     TropicalCycle,
     TropicalGeometryError,
-    cross,
     make_cell,
     make_cycle,
 )
@@ -262,7 +260,7 @@ def diagonal_to_doc(rep):
         "n": rep.n,
         "k": k,
         "space_dim": rep.space_dim,
-        "base": "space" if rep.base is None else "complete",
+        "base": "complete" if rep.complete else "space",
         "terms": [
             {
                 "coefficient": _enc_int(coef),
@@ -303,10 +301,9 @@ def diagonal_from_doc(doc, where="diagonal"):
                 combo[sym] = _dec_int(val, spot)
             combos.append(combo)
         tuples.append((coef, tuple(combos)))
-    base = None
-    if base_tag == "complete":
-        base = cross(rn_cycle(n), rn_cycle(n))
-    rep = DiagonalRepresentation(n, space_dim, tuple(tuples), base=base)
+    rep = DiagonalRepresentation(
+        n, space_dim, tuple(tuples), complete=base_tag == "complete"
+    )
     if _bool_field(doc, "verified", where):
         rep.verify()
     return rep

@@ -30,7 +30,6 @@ from .polyhedra import (
     empty_cycle,
     intersect_cells,
     make_cycle,
-    refine_complexes,
     scale_cycle,
 )
 
@@ -171,29 +170,33 @@ def max_poly_function(carrier, forms):
 
 
 def add_functions(f, g):
-    """Pointwise sum, carried by the common refinement of both carriers."""
-    if f.carrier is g.carrier or f.cells == g.cells:
-        return PLFunction(
-            f.cells,
-            tuple(
-                (
-                    tuple(a + b for a, b in zip(cf[0], cg[0])),
-                    cf[1] + cg[1],
-                )
-                for cf, cg in zip(f.forms, g.forms)
-            ),
-        )
-    refined, pairs = refine_complexes(f.carrier, g.carrier)
-    cells = refined.maximal
-    for side in (f, g):
-        for big in side.cells:
-            check_cover(big, [c for c in cells if big.contains_cell(c)])
-    forms = []
-    for cell in cells:
-        cf = f.form_on(pairs[cell][0])
-        cg = g.form_on(pairs[cell][1])
-        forms.append((tuple(a + b for a, b in zip(cf[0], cg[0])), cf[1] + cg[1]))
-    return PLFunction(cells, forms)
+    """Pointwise sum, carried by the common refinement of both carriers.
+
+    Each summand's cells are refined along the other's carrier, which
+    checks that either carrier covers the other (else
+    TropicalGeometryError) and gives each piece its host in that carrier.
+    Both refinements have the same pieces, the full-dimensional
+    intersections of an f cell with a g cell, so every piece gets an
+    f-host and a g-host.
+    """
+    if f.ambient_dim != g.ambient_dim:
+        raise TropicalGeometryError("ambient dimension mismatch")
+    if f.cells == g.cells:
+        cells, pairs = f.cells, zip(f.forms, g.forms)
+    else:
+        refined, in_g = _refine(_cell_cycle(f), g.carrier)
+        in_f = _refine(_cell_cycle(g), f.carrier)[1]
+        cells = [piece for piece, _ in refined.cells]
+        pairs = [(f.form_on(in_f[p]), g.form_on(in_g[p])) for p in cells]
+    return PLFunction(
+        cells,
+        [(tuple(map(sum, zip(cf[0], cg[0]))), cf[1] + cg[1]) for cf, cg in pairs],
+    )
+
+
+def _cell_cycle(f):
+    """The carrier cells of f as a cycle of weight one."""
+    return make_cycle(f.ambient_dim, f.cells[0].dim, [(c, 1) for c in f.cells])
 
 
 def scale_function(f, c):

@@ -27,6 +27,8 @@ from .polyhedra import (
     cycles_equal,
     diagonal_cycle,
     empty_cycle,
+    make_cycle,
+    map_cell,
     pushforward_cycle,
     support_covers,
     vec_dot,
@@ -170,9 +172,6 @@ class AmbientContext:
     def apply_diagonal(self, z):
         return _apply_stages(self.stages, z)
 
-    def covers(self, x):
-        return support_covers(x, self.ambient)
-
 
 def _representation_context(key, build):
     got = _CONTEXT_CACHE.get(key)
@@ -255,7 +254,7 @@ def intersect_cycles(d1, d2, ctx):
         return empty_cycle(n)
     if d1.ambient_dim != n or d2.ambient_dim != n:
         raise TropicalGeometryError("cycles do not live in the ambient space")
-    if not (ctx.covers(d1) and ctx.covers(d2)):
+    if not (support_covers(d1, ctx.ambient) and support_covers(d2, ctx.ambient)):
         raise TropicalGeometryError("cycle support leaves the ambient space")
     expected = d1.dim + d2.dim - ctx.ambient.dim
     if expected < 0:
@@ -272,7 +271,9 @@ def pullback_cycle(f, c, ctx_source, ctx_target):
     X x Y to Y x Y and so pulls the diagonal of Y back to the graph of f
     (Allermann-Rau).  The stages of ctx_target, the representation of
     Delta_Y, are pulled back along F and applied to X x c; ctx_source is
-    read only for its ambient X.  The result is empty whenever the expected
+    read only for its ambient X.  f must map X into Y: the images of X's
+    cells, one cycle per dimension, must lie in the support of Y, whatever
+    dimension they lose.  The result is empty whenever the expected
     dimension dim X + dim c - dim Y is negative.  An unverified target
     context is first checked geometrically (VerificationError).
     """
@@ -282,11 +283,15 @@ def pullback_cycle(f, c, ctx_source, ctx_target):
     m = y.ambient_dim
     if f.source_dim != n or f.target_dim != m:
         raise TropicalGeometryError("morphism does not match the contexts")
-    if not support_covers(pushforward(f, x), y):
+    images = {}
+    for sigma, _ in x.cells:
+        image = map_cell(sigma, f.matrix, f.translation)
+        images.setdefault(image.dim, []).append((image, 1))
+    if not all(support_covers(make_cycle(m, d, z), y) for d, z in images.items()):
         raise TropicalGeometryError("morphism does not map source into target")
     if not c.is_empty and c.ambient_dim != m:
         raise TropicalGeometryError("cycle does not live in the target space")
-    if not c.is_empty and not ctx_target.covers(c):
+    if not c.is_empty and not support_covers(c, y):
         raise TropicalGeometryError("cycle support leaves the target space")
     if x.is_empty or c.is_empty:
         return empty_cycle(n)

@@ -36,13 +36,13 @@ from .polyhedra import (
     VerificationError,
     _module_cache,
     _space_cell,
-    common_refinement,
     cone_from_generators,
     cross,
     is_face,
     localize_complex,
     make_cycle,
     star,
+    support_covers,
 )
 
 _LNK_CACHE = _module_cache()
@@ -222,9 +222,7 @@ def diagonal_product_form(n, k):
     diagonal of L^n_{n-k} over the complete base [R^n x R^n]."""
     combos = [{("T", i): 1, ("B", 0): 1} for i in range(1, n + 1)]
     combos += [{("T", 0): 1, ("D", 0): 1}] * k
-    return DiagonalRepresentation(
-        n, n - k, ((1, tuple(combos)),), base=cross(rn_cycle(n), rn_cycle(n))
-    )
+    return DiagonalRepresentation(n, n - k, ((1, tuple(combos)),), complete=True)
 
 
 def diagonal_divisors_rn(n, k):
@@ -479,31 +477,27 @@ class DiagonalRepresentation:
     `space_dim`, or its star at the cell `tau`; `expression` carries the
     tuples' symbol functions on F^n_n, restricted to the star of F^n_n at
     (x, x) for x in the relative interior of tau, and is built when first
-    asked for.  Applying the expression to `base` (by default
-    [space x space]; the full product form uses the complete fan
-    [R^n x R^n]) reproduces the diagonal of the space exactly.  `verify`
+    asked for.  Applying the expression to the base, [space x space], or
+    the complete fan [R^n x R^n] when `complete` is set (the full product
+    form), reproduces the diagonal of the space exactly.  `verify`
     checks that identity on the fan F^n_n with the tuples' integer
     combinations.
     """
 
     __slots__ = (
-        "n", "space_dim", "tuples", "space", "base", "tau", "verified",
+        "n", "space_dim", "tuples", "space", "complete", "tau", "verified",
         "_expression",
     )
 
-    def __init__(self, n, space_dim, tuples, base=None, tau=None):
+    def __init__(self, n, space_dim, tuples, complete=False, tau=None):
         space = build_lnk(n, space_dim)
-        if not (base is None or base == cross(rn_cycle(n), rn_cycle(n))):
-            raise TropicalGeometryError(
-                "the base must be [L^n_c x L^n_c] or [R^n x R^n]"
-            )
         if tau is not None:
             space = star(space, tau, tau.relint_point())
         self.n = n
         self.space_dim = space_dim
         self.tuples = tuples
         self.space = space
-        self.base = base
+        self.complete = complete
         self.tau = tau
         self.verified = False
         self._expression = None
@@ -525,9 +519,7 @@ class DiagonalRepresentation:
                 ("D", i) for i in range(self.n + 1)
                 if neg_e(self.n, i) in self.tau.rays
             )
-        if not _fan_identity(
-            self.n, self.space_dim, self.tuples, self.base is not None, fixed
-        ):
+        if not _fan_identity(self.n, self.space_dim, self.tuples, self.complete, fixed):
             raise VerificationError(
                 "diagonal representation failed its defining identity"
             )
@@ -613,7 +605,8 @@ def relations_check(n, m, c_cycle, which, vs=(), s=0):
     which = 'b': v_1 ... v_{m+r} . (C x R^n), r > 0 distinct v's from
                  {T_1, ..., T_n, D}
     which = 'c': B . D^s . v_1 ... v_{m-s+r} . (C x R^n), r, s > 0
-    Returns True iff the product is the empty cycle.
+    Returns True iff the product is the empty cycle.  A cycle C whose
+    support leaves L^n_m raises TropicalGeometryError.
     """
     vs = tuple(tuple(v) for v in vs)
     allowed = {("T", i) for i in range(1, n + 1)} | {("D", 0)}
@@ -624,7 +617,8 @@ def relations_check(n, m, c_cycle, which, vs=(), s=0):
         return True
     if not 0 <= m <= n:
         raise TropicalGeometryError("need 0 <= m <= n")
-    common_refinement(c_cycle, build_lnk(n, m).complex())  # support check
+    if not support_covers(c_cycle, build_lnk(n, m)):
+        raise TropicalGeometryError("cycle does not lie in L^%d_%d" % (n, m))
     if which == "a":
         factors = [{("T", 0): 1}, {("B", 0): 1}]
     elif which == "b":

@@ -37,9 +37,11 @@ meet in a lower-dimensional face never reach the intersection memo.  Each
 piece is cut once: since the carrier is a complex, a carrier cell that
 holds a relative interior point of a piece already found meets the cell
 in exactly that piece, so it takes the piece without a cut, tested by its
-side codes against the sides that point holds.  The cover check that
-follows works on facet forms: a facet of a single piece is on the
-boundary iff its inequality is one of the cell's own.
+facets and equations at that point.  The cover check that follows works
+on facet forms: a facet of a single piece is on the boundary iff its
+inequality is one of the cell's own.  This refinement is the one answer
+to "does this lie in that?": `add_functions` asks it directly, and
+products, pull-backs and relation checks ask it through `support_covers`.
 
 Products of cells are built from the factors' homogeneous generators, so
 a product found in the build memo costs no Fraction arithmetic.  A cell
@@ -960,10 +962,11 @@ def cross(x, y):
 
 
 def _hyperplane_key(form):
-    v = primitive_vector(form)
-    for entry in v:
+    """The hyperplane of a primitive form (every facet and span equation
+    is one), oriented to lead with a positive entry."""
+    for entry in form:
         if entry != 0:
-            return v if entry > 0 else vec_neg(v)
+            return form if entry > 0 else vec_neg(form)
     raise ValueError("zero form")
 
 
@@ -1080,23 +1083,6 @@ def _missed_sides(sigma, forms):
     return missed
 
 
-def _held_sides(cell, forms):
-    """The sides of the sparse hyperplanes `forms`, given and coded as in
-    Complex._side_needs, that hold at the sum of the cell's homogeneous
-    generators, a point of its relative interior."""
-    point = _interior(cell)
-    held = set()
-    for h, form in enumerate(forms):
-        s = sum([point[i] * v for i, v in form])
-        if s >= 0:
-            held.add(3 * h)
-        if s <= 0:
-            held.add(3 * h + 1)
-        if s == 0:
-            held.add(3 * h + 2)
-    return held
-
-
 def _refine(x, carrier):
     """Refine the cycle x along a complex covering it, remembering carriers.
 
@@ -1114,9 +1100,9 @@ def _refine(x, carrier):
     inside p, because p has sigma's dimension, so r lies inside a segment
     of c; the face c & c' of c holds r, hence the whole segment and q, and
     q is in sigma & c' = p.  So on a memo miss, c is first tested against
-    the pieces found (c holds r iff the side codes c needs are among those
-    r holds), and one that holds a piece gets it in the intersection memo,
-    as a cut would have put it there, and is not cut.
+    the pieces found (`c._holds(r)`, with r the sum of the piece's
+    homogeneous generators), and one that holds a piece gets it in the
+    intersection memo, as a cut would have put it there, and is not cut.
     """
     origin = {}
     items = []
@@ -1124,16 +1110,16 @@ def _refine(x, carrier):
     for sigma, w in x.cells:
         missed = _missed_sides(sigma, forms)
         pieces = {}
-        held = {}
+        inner = {}
         for c, need in zip(carrier.maximal, needs):
             if not missed.isdisjoint(need):
                 continue
             piece = _INTERSECT_MEMO.get((sigma, c))
             if piece is None:
                 for p in pieces:
-                    if p not in held:
-                        held[p] = _held_sides(p, forms)
-                    if need <= held[p]:
+                    if p not in inner:
+                        inner[p] = _interior(p)
+                    if c._holds(inner[p]):
                         piece = _INTERSECT_MEMO[sigma, c] = p
                         break
                 else:
@@ -1180,25 +1166,6 @@ def check_cover(sigma, pieces):
             raise VerificationError("refinement pieces overlap")
         if around[0][1] not in boundary:
             raise TropicalGeometryError("carrier does not cover cycle")
-
-
-def refine_complexes(f, g):
-    """Common refinement of two complexes on the union of their pieces.
-
-    Returns (complex, pairs) where pairs maps each refined maximal cell to
-    one (f cell, g cell) pair containing it.
-    """
-    items = {}
-    for cf in f.maximal:
-        for cg in g.maximal:
-            piece = intersect_cells(cf, cg)
-            if not piece.is_empty:
-                items.setdefault(piece, (cf, cg))
-    if not items:
-        raise TropicalGeometryError("carriers do not overlap")
-    maxdim = max(c.dim for c in items)
-    kept = {c: p for c, p in items.items() if c.dim == maxdim}
-    return Complex(f.ambient_dim, list(kept)), kept
 
 
 def _normal_sums(x, group):

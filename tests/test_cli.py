@@ -7,6 +7,7 @@ from tropint.formats import FormatError, parse_document, serialize
 from tropint.functions import divisor, ray_function
 from tropint.intersect import (
     AmbientContext,
+    Morphism,
     intersect_cycles,
     linear_space_context,
     product_context,
@@ -175,7 +176,8 @@ def test_diagonal_form_verifies_over_complete_fan(capsys):
         for k in range(n + 1):
             rep = diagonal_product_form(n, k)
             assert rep.verify()
-            got = rep.expression.apply(rep.base)
+            assert rep.complete
+            got = rep.expression.apply(cross(rn_cycle(n), rn_cycle(n)))
             assert cycles_equal(got, diagonal_cycle(rep.space)), (n, k)
 
 
@@ -300,3 +302,15 @@ def test_pullback_of_a_point_off_the_target_exits_one(tmp_path, capsys):
         capsys, "pullback", pmap, pt, "--source", amb, "--target", "lnk:2,1"
     )
     assert code == 1 and out == "" and "support leaves the target space" in err
+
+
+def test_pullback_along_a_map_that_leaves_the_target_exits_one(tmp_path, capsys):
+    # p2 shifted by (5, 0) maps L^2_1 x L^2_1 onto L^2_1 + (5, 0)
+    shifted = Morphism([(0, 0, 1, 0), (0, 0, 0, 1)], translation=(5, 0))
+    pmap = write(tmp_path / "shifted.map", shifted)
+    pt = write(tmp_path / "pt.cycle", make_cycle(2, 0, [(make_cell(2, [(0, 0)]), 1)]))
+    amb = "product:lnk:2,1;lnk:2,1"
+    code, out, err = run(
+        capsys, "pullback", pmap, pt, "--source", amb, "--target", "lnk:2,1"
+    )
+    assert code == 1 and out == "" and "does not map source into target" in err

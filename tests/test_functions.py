@@ -275,6 +275,47 @@ def test_kink_function_on_curve():
     assert degree(d) == -1
 
 
+def test_add_functions_needs_carriers_of_one_support():
+    # on L^2_1, and on a complete fan of R^2; each sub-fan misses a cone
+    l21 = l21_cycle().complex()
+    quadrants = Complex(
+        2,
+        [
+            cone_from_generators(2, [(1, 0), (0, 1)]),
+            cone_from_generators(2, [(0, 1), (-1, 0)]),
+            cone_from_generators(2, [(-1, 0), (0, -1)]),
+            cone_from_generators(2, [(0, -1), (1, 0)]),
+        ],
+    )
+    for fan, value in [(l21, {(1, 1): 2}), (quadrants, {(1, 0): 1, (0, -1): 3})]:
+        whole = ray_function(fan, value)
+        part = ray_function(Complex(2, fan.maximal[:2]), {})
+        for f, g in [(part, whole), (whole, part)]:
+            with pytest.raises(TropicalGeometryError):
+                add_functions(f, g)
+
+
+def test_add_functions_on_two_subdivisions_of_one_fan():
+    # the sum lives on the common refinement of two stellar subdivisions
+    # and is f + g at the relative interior point of each of its cells
+    x = l32_cycle()
+    f = ray_function(
+        stellar_subdivide(x, (-1, -1, 0)), {(1, 1, 1): 1, (-1, -1, 0): 2, (0, 0, -1): -1}
+    )
+    g = ray_function(
+        stellar_subdivide(x, (1, 1, 0)), {(1, 1, 0): -1, (-1, 0, 0): 3, (0, -1, 0): 1}
+    )
+    for s in (add_functions(f, g), add_functions(g, f)):
+        assert len(s.cells) == len(f.cells) + 1 == len(g.cells) + 1 == 8
+        for cell in s.cells:
+            p = cell.relint_point()
+            assert s.form_at(p) == s.form_on(cell)
+            assert s.value(p) == f.value(p) + g.value(p)
+        assert cycles_equal(
+            make_cycle(3, 2, [(c, 1) for c in s.cells]), x
+        )
+
+
 def test_pullback_function():
     carrier = Complex(
         1,

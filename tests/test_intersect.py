@@ -584,9 +584,13 @@ def test_pullback_and_pushforward_input_checks():
     r2, l21 = linear_space_context(2, 2), linear_space_context(2, 1)
     source = product_context(l21, l21)
     p2 = projection_morphism([2, 2], 1)
+    # every cell of L^2_1 x L^2_1 loses a dimension under the projection, so
+    # the shifted image leaves L^2_1 without a full-dimensional image cell
+    shifted = Morphism([(0, 0, 1, 0), (0, 0, 0, 1)], translation=(5, 0))
     for f, c, src, message in [
         (identity_morphism(3), build_lnk(2, 1), l21, "morphism does not match the contexts"),
         (identity_morphism(2), build_lnk(2, 1), r2, "does not map source into target"),
+        (shifted, point((0, 0)), source, "does not map source into target"),
         (p2, point((1, 2)), source, "cycle support leaves the target space"),
     ]:
         with pytest.raises(TropicalGeometryError, match=message):

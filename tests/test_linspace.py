@@ -503,12 +503,6 @@ def test_rewrite_verification_is_hard_error():
     with pytest.raises(TropicalGeometryError):
         DiagonalRepresentation(2, 1, ((1, ({("T", 3): 1},)),)).verify()
 
-    # a representation only stands for the bases [L x L] and [R^n x R^n]
-    with pytest.raises(TropicalGeometryError):
-        DiagonalRepresentation(
-            3, 2, r31.tuples, base=cross(build_lnk(3, 1), rn_cycle(3))
-        )
-
 
 def test_fan_check_rejects_every_mutation():
     # on the fan alone: every flipped coefficient and every dropped term of

@@ -1441,3 +1441,32 @@ def test_cells_keep_the_generators_their_vertices_give():
         assert cell.hom_gens() == hom_gens_by_vertices(cell), cell
         assert cell.hom_lin() == tuple(tuple(l) + (0,) for l in cell.lineality), cell
         assert cell.face_at(cell.relint_point()) == cell, cell
+
+
+def test_facets_and_equations_are_primitive():
+    """_hyperplane_key only orients a form, so every facet and span equation
+    must be primitive: those of cells from make_cell, of cuts by forms that
+    are not, of their faces and products, and of the lifted preimages of a
+    pull-back along a coordinate projection with a rational shift."""
+    rng = random.Random(19)
+    clear_caches()
+    cells = [random_cell(rng, rng.randint(2, 4)) for _ in range(40)]
+    for cell in list(cells):
+        a = (1,) + tuple(rng.randint(-2, 2) for _ in range(cell.ambient_dim - 1))
+        h = a + (-math.floor(vec_dot(a, cell.relint_point())),)
+        cells.append(cut_cell_by_hom_forms(cell, (tuple(2 * x for x in h),)))
+    cells += [child for cell in cells for child, _ in cell.facet_cells()]
+    cells += [cross_cells(rng.choice(cells), rng.choice(cells)) for _ in range(40)]
+    rays = ((1, 1), (-1, 0), (0, -1))
+    plane = Complex(2, [cone_from_generators(2, [rays[i], rays[i - 1]]) for i in range(3)])
+    phi = functions.ray_function(plane, {(1, 1): 2, (-1, 0): -1})
+    lifted = functions.pullback_function(
+        ((0, 0, 1, 0), (0, 0, 0, 1)), (F(1, 2), 3), phi
+    )
+    cells += lifted.cells
+    assert len(cells) > 200
+    for cell in cells:
+        for form in cell.hom_facets + cell.hom_eqs:
+            assert math.gcd(*form) == 1, (cell, form)
+            assert _hyperplane_key(form) in (form, vec_neg(form))
+
