@@ -121,7 +121,7 @@ def ray_function(fan, values):
     forms = []
     for cone in cells:
         rhs = tuple(values.get(r, 0) for r in cone.rays)
-        cov = solve_integer(cone.rays, rhs)
+        cov = solve_integer(cone.rays, rhs) if cone.rays else (0,) * fan.ambient_dim
         if cov is None:
             raise TropicalGeometryError(
                 "no integer linear form takes these ray values on %r" % (cone,)

@@ -4,7 +4,10 @@ The product of two cycles inside an ambient linear space (or star, or
 product of such) is computed by crossing them, applying a verified
 diagonal representation, and pushing forward along the first projection.
 An AmbientContext bundles the ambient cycle with its representation.
-Linear spaces and stars take the fan check of their representation.
+Linear spaces and stars take the fan check of their representation, and
+apply it as ray functions on F^n_m, the fan that [L^n_m x L^n_m] lies
+in (or its star), rather than on the complete fan F^n_n, whose functions
+they keep for pull-backs and products.
 Product contexts pull the factor representations back along the
 coordinate projections and are verified by their factors, through the
 product formula pi^*phi . (A x B) = (phi . A) x B (Allermann-Rau); any
@@ -87,18 +90,31 @@ def pushforward(f, x, source=None, target=None):
 
     Cells mapping to lower dimension are discarded; surviving images carry
     their lattice index as multiplicity.  Optional source/target cycles
-    restrict where x and its image may live; each one given is checked.
+    restrict where x and its image may live; each one given is checked,
+    the target on the images of all cells of x, discarded ones included.
     """
     if not x.is_empty and x.ambient_dim != f.source_dim:
         raise TropicalGeometryError("cycle does not live in the source of the map")
     if source is not None and not support_covers(x, source):
         raise TropicalGeometryError("cycle leaves the declared source support")
-    out = pushforward_cycle(
+    if target is not None and not _maps_into(f, x, target):
+        raise TropicalGeometryError("image leaves the declared target support")
+    return pushforward_cycle(
         f.matrix, x, translation=f.translation, target_dim=f.target_dim
     )
-    if target is not None and not support_covers(out, target):
-        raise TropicalGeometryError("image leaves the declared target support")
-    return out
+
+
+def _maps_into(f, x, y):
+    """True iff f maps the support of x into the support of y: the images
+    of the cells of x, one cycle per dimension, lie in y, whatever
+    dimension they lose."""
+    images = {}
+    for sigma, _ in x.cells:
+        image = map_cell(sigma, f.matrix, f.translation)
+        images.setdefault(image.dim, []).append((image, 1))
+    return all(
+        support_covers(make_cycle(f.target_dim, d, z), y) for d, z in images.items()
+    )
 
 
 def graph(f, x):
@@ -135,22 +151,29 @@ def _apply_stages(stages, z):
 class AmbientContext:
     """An ambient cycle together with a diagonal representation.
 
-    `stages` is a sequence of Cartier expressions; applying them in order
-    to [ambient x ambient] cuts out the diagonal.  Splitting the
-    representation into stages keeps products of contexts small: the sum
-    over one factor's tuples is collapsed before the next factor's tuples
-    are applied.  The constructor takes the stages or a function of no
-    arguments returning them, called when they are first read.  It checks
-    nothing: `verified` is set from the fan check or the product formula
-    (see product_context), or by `verify`, the geometric check run by
-    intersect_cycles and by the CLI's --verify.
+    `stages` is a sequence of Cartier expressions whose functions cover
+    the whole of their domain, as pull-backs need (`pullback_function`);
+    applying them in order to [ambient x ambient] cuts out the diagonal.
+    Splitting the representation into stages keeps products of contexts
+    small: the sum over one factor's tuples is collapsed before the next
+    factor's tuples are applied.  `diagonal_stages`, which
+    `apply_diagonal` applies, are the same functions restricted to a fan
+    that [ambient x ambient] lies in, if the context has them, else
+    `stages`: a divisor reads its function only on the cycle's support,
+    and the cells of a product are tested and cut against the cones of
+    that fan alone.  The constructor takes each as a sequence or a
+    function of no arguments returning it, called when it is first read.
+    It checks nothing: `verified` is set from the fan check or the
+    product formula (see product_context), or by `verify`, the geometric
+    check run by intersect_cycles and by the CLI's --verify.
     """
 
-    __slots__ = ("ambient", "_stages", "label", "verified")
+    __slots__ = ("ambient", "_stages", "_diagonal_stages", "label", "verified")
 
-    def __init__(self, ambient, stages, label=None):
+    def __init__(self, ambient, stages, label=None, diagonal_stages=None):
         self.ambient = ambient
-        self._stages = stages if callable(stages) else tuple(stages)
+        self._stages = _stage_source(stages)
+        self._diagonal_stages = _stage_source(diagonal_stages)
         self.label = label
         self.verified = False
 
@@ -159,6 +182,14 @@ class AmbientContext:
         if callable(self._stages):
             self._stages = tuple(self._stages())
         return self._stages
+
+    @property
+    def diagonal_stages(self):
+        if self._diagonal_stages is None:
+            return self.stages
+        if callable(self._diagonal_stages):
+            self._diagonal_stages = tuple(self._diagonal_stages())
+        return self._diagonal_stages
 
     def verify(self):
         got = self.apply_diagonal(cross(self.ambient, self.ambient))
@@ -170,14 +201,26 @@ class AmbientContext:
         return True
 
     def apply_diagonal(self, z):
-        return _apply_stages(self.stages, z)
+        return _apply_stages(self.diagonal_stages, z)
+
+
+def _stage_source(stages):
+    return stages if stages is None or callable(stages) else tuple(stages)
 
 
 def _representation_context(key, build):
+    """The context of a representation: its expression on F^n_n as the
+    stage, and on the fan that [space x space] lies in (F^n_m, or its
+    star) as the diagonal stage; neither is built before it is read."""
     got = _CONTEXT_CACHE.get(key)
     if got is None:
         rep = build()
-        got = AmbientContext(rep.space, (rep.expression,), label=key)
+        got = AmbientContext(
+            rep.space,
+            lambda: (rep.expression,),
+            label=key,
+            diagonal_stages=lambda: (rep.base_expression,),
+        )
         got.verified = rep.verified  # the representation was verified on build
         _CONTEXT_CACHE[key] = got
     return got
@@ -283,11 +326,7 @@ def pullback_cycle(f, c, ctx_source, ctx_target):
     m = y.ambient_dim
     if f.source_dim != n or f.target_dim != m:
         raise TropicalGeometryError("morphism does not match the contexts")
-    images = {}
-    for sigma, _ in x.cells:
-        image = map_cell(sigma, f.matrix, f.translation)
-        images.setdefault(image.dim, []).append((image, 1))
-    if not all(support_covers(make_cycle(m, d, z), y) for d, z in images.items()):
+    if not _maps_into(f, x, y):
         raise TropicalGeometryError("morphism does not map source into target")
     if not c.is_empty and c.ambient_dim != m:
         raise TropicalGeometryError("cycle does not live in the target space")

@@ -22,6 +22,13 @@ tau = cone{-e_i : i in I} is the star of that subfan at the cone
 {D_i : i in I}, since divisors commute with taking stars.  Applying the
 PL functions geometrically, as intersection contexts do
 (`AmbientContext.verify`), is the test oracle for this check.
+
+Intersection contexts apply the tuples as ray functions on F^n_m itself
+(on its star at (x, x) for a star), the restrictions of the functions on
+F^n_n to the fan that [L^n_m x L^n_m] lies in: a divisor reads its
+function only on the cycle's support, and [C x D] is then cut along the
+cones of F^n_m alone.  Pull-backs and product contexts take the
+functions on F^n_n, whose pull-backs must cover the whole domain.
 """
 
 from itertools import combinations
@@ -210,11 +217,18 @@ def fnk_cycle(n, k):
     )
 
 
-def symbol_function(n, combo):
-    """Integer combination of symbol ray functions on F^n_n."""
-    fan = build_fnk(n, n)
+def symbol_function(n, combo, k=None):
+    """Integer combination of symbol ray functions on F^n_n, or on its
+    subfan F^n_k.
+
+    On F^n_k it is the restriction of the function on F^n_n: the values
+    on symbols that are not rays of F^n_k (all of them for k = 0) are
+    dropped.
+    """
+    fan = build_fnk(n, n if k is None else k)
+    rays = {r for cone in fan.maximal for r in cone.rays}
     values = {symbol_ray(n, sym): c for sym, c in combo.items()}
-    return ray_function(fan, values)
+    return ray_function(fan, {r: c for r, c in values.items() if r in rays})
 
 
 def diagonal_product_form(n, k):
@@ -233,20 +247,21 @@ def diagonal_divisors_rn(n, k):
     return diagonal_product_form(n, k).expression
 
 
-def _symbol_expression(n, tuples, point=None):
+def _symbol_expression(n, tuples, point=None, k=None):
     """The Cartier expression of rewriting tuples, one symbol function per
-    distinct factor combination.
+    distinct factor combination, on F^n_n or on its subfan F^n_k.
 
-    With a point, each function is restricted to the star of F^n_n there.
+    With a point, each function is restricted to the star of that fan
+    there.
     """
     if point is not None:
-        _, pairs = localize_complex(build_fnk(n, n), point)
+        _, pairs = localize_complex(build_fnk(n, n if k is None else k), point)
     functions = {}
 
     def function(combo):
         key = frozenset((sym, c) for sym, c in combo.items() if c)
         if key not in functions:
-            phi = symbol_function(n, combo)
+            phi = symbol_function(n, combo, k)
             if point is not None:
                 phi = PLFunction(
                     [cell for cell, _ in pairs],
@@ -474,19 +489,23 @@ class DiagonalRepresentation:
 
     `tuples` is a sequence of (coefficient, factor combinations) where each
     factor combination maps symbols to integers.  The space is L^n_c, c =
-    `space_dim`, or its star at the cell `tau`; `expression` carries the
-    tuples' symbol functions on F^n_n, restricted to the star of F^n_n at
-    (x, x) for x in the relative interior of tau, and is built when first
-    asked for.  Applying the expression to the base, [space x space], or
-    the complete fan [R^n x R^n] when `complete` is set (the full product
-    form), reproduces the diagonal of the space exactly.  `verify`
+    `space_dim`, or its star at the cell `tau`.  The base is
+    [space x space], or the complete fan [R^n x R^n] when `complete` is
+    set (the full product form); it lies in F^n_c, or in F^n_n when
+    complete.  `expression` carries the tuples' symbol functions on F^n_n,
+    and `base_expression` the same functions on the fan the base lies in,
+    where they are its restrictions; for a star both are restricted to
+    the star of their fan at (x, x), x in the relative interior of tau.
+    Each is built when first asked for.  Applying either to the base
+    reproduces the diagonal of the space exactly; `base_expression` cuts
+    a cycle in the base only along the cones of the base's fan.  `verify`
     checks that identity on the fan F^n_n with the tuples' integer
     combinations.
     """
 
     __slots__ = (
         "n", "space_dim", "tuples", "space", "complete", "tau", "verified",
-        "_expression",
+        "_expressions",
     )
 
     def __init__(self, n, space_dim, tuples, complete=False, tau=None):
@@ -500,17 +519,26 @@ class DiagonalRepresentation:
         self.complete = complete
         self.tau = tau
         self.verified = False
-        self._expression = None
+        self._expressions = {}  # k -> the expression on F^n_k
 
-    @property
-    def expression(self):
-        if self._expression is None:
+    def _expression_on(self, k):
+        got = self._expressions.get(k)
+        if got is None:
             point = None
             if self.tau is not None:
                 x = self.tau.relint_point()
                 point = x + x
-            self._expression = _symbol_expression(self.n, self.tuples, point)
-        return self._expression
+            got = _symbol_expression(self.n, self.tuples, point, k)
+            self._expressions[k] = got
+        return got
+
+    @property
+    def expression(self):
+        return self._expression_on(self.n)
+
+    @property
+    def base_expression(self):
+        return self._expression_on(self.n if self.complete else self.space_dim)
 
     def verify(self):
         fixed = frozenset()

@@ -539,21 +539,25 @@ def _seeded_curve(rng):
             return c
 
 
-def _seeded_affine_curve(rng):
-    """The divisor of max(0, a.x + c) on L^3_2 cut along a.x = -c."""
+def _seeded_affine_curve(rng, x=None):
+    """The divisor of max(0, a.v + c) on the cycle x (L^3_2 by default) cut
+    along a.v = -c."""
+    if x is None:
+        x = l32_cycle()
+    n = x.ambient_dim
     while True:
-        a = tuple(rng.randint(-1, 1) for _ in range(3))
+        a = tuple(rng.randint(-1, 1) for _ in range(n))
         if any(a):
             break
     c = rng.choice((-2, -1, 1, 2))
     p = tuple(F(-c * v, sum(v * v for v in a)) for v in a)
-    lin = integer_kernel([a], 3)
+    lin = integer_kernel([a], n)
     halves = Complex(
-        3,
-        [make_cell(3, [p], [a], lin), make_cell(3, [p], [tuple(-v for v in a)], lin)],
+        n,
+        [make_cell(n, [p], [a], lin), make_cell(n, [p], [tuple(-v for v in a)], lin)],
     )
-    x = common_refinement(l32_cycle(), halves)
-    return divisor(max_poly_function(x, [((0, 0, 0), 0), (a, c)]), x)
+    x = common_refinement(x, halves)
+    return divisor(max_poly_function(x, [((0,) * n, 0), (a, c)]), x)
 
 
 def test_factor_tree_matches_term_by_term_on_linear_spaces():

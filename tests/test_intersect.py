@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_functions import _seeded_affine_curve, _seeded_curve
 from tropint import cli, intersect, linspace, polyhedra
 from tropint.formats import parse_document, serialize
 from tropint.functions import (
@@ -229,6 +230,14 @@ def test_pushforward_support_validation():
     with pytest.raises(TropicalGeometryError):
         pushforward(p, l21, source=point((0, 0)))
     assert cycles_equal(pushforward(p, l21, source=l21), out)
+    # p2 shifted by (5, 0) maps L^2_1 x L^2_1 off L^2_1; the cells whose
+    # image loses a dimension are dropped from the image, not from the check
+    shifted = Morphism([(0, 0, 1, 0), (0, 0, 0, 1)], translation=(5, 0))
+    with pytest.raises(TropicalGeometryError):
+        pushforward(shifted, cross(l21, l21), target=l21)
+    assert pushforward(shifted, cross(l21, l21)).is_empty
+    p2 = projection_morphism([2, 2], 1)
+    assert pushforward(p2, cross(l21, l21), target=l21).is_empty
 
 
 def test_graph_examples():
@@ -599,3 +608,56 @@ def test_pullback_and_pushforward_input_checks():
     assert out.is_empty and out.ambient_dim == 4
     with pytest.raises(TropicalGeometryError, match="does not live in the source"):
         pushforward(identity_morphism(2), build_lnk(3, 2))
+
+
+def _seeded_divisor(rng, x):
+    """A seeded affine divisor on the cycle x that is not empty."""
+    while True:
+        got = _seeded_affine_curve(rng, x)
+        if not got.is_empty:
+            return got
+
+
+def test_diagonal_stages_are_the_stages_restricted_to_the_base_fan():
+    """apply_diagonal reads the representation on F^n_m, the fan that
+    [L^n_m x L^n_m] lies in (its star at (x, x) for a star context); on
+    [A x A] and on seeded [C x D] that gives the cycles the stages on
+    F^n_n give, and each diagonal stage is verified on its own."""
+    rng = random.Random(20)
+    l32 = linear_space_context(3, 2)
+    stars = [
+        star_context(3, 2, cone_from_generators(3, [(1, 1, 1)])),
+        star_context(4, 3, cone_from_generators(4, [(-1, 0, 0, 0), (0, -1, 0, 0)])),
+    ]
+    cases = [(linear_space_context(n, m), m) for n, m in [(2, 1), (3, 1), (4, 2), (3, 0)]]
+    cases += [(l32, 2)] + [(ctx, None) for ctx in stars]
+    for ctx, m in cases:
+        n = ctx.ambient.ambient_dim
+        fan = build_fnk(n, m) if m is not None else None
+        for stage in ctx.diagonal_stages:
+            for _, factors in stage.terms:
+                for phi in factors:
+                    if fan is not None:
+                        assert phi.cells == fan.maximal, ctx.label
+                    assert len(phi.forms[0][0]) == 2 * n
+        amb = ctx.ambient
+        c = _seeded_divisor(rng, amb) if amb.dim else amb
+        d = _seeded_divisor(rng, c) if c.dim else c
+        for z in (cross(amb, amb), cross(c, amb), cross(amb, d), cross(c, d)):
+            got = ctx.apply_diagonal(z)
+            assert cycles_equal(got, intersect._apply_stages(ctx.stages, z)), ctx.label
+        assert AmbientContext(amb, ctx.diagonal_stages).verify()
+    for fs, gs in [(_seeded_curve(rng), _seeded_affine_curve(rng)) for _ in range(2)]:
+        z = cross(fs, gs)
+        assert cycles_equal(l32.apply_diagonal(z), intersect._apply_stages(l32.stages, z))
+    # the L^n_0 diagonal has no factors; F^3_0 has no rays to read values on
+    assert symbol_function(3, {("T", 1): 1}, 0).forms == (((0,) * 6, 0),)
+
+
+def test_intersections_never_build_the_complete_fan():
+    polyhedra.clear_caches()
+    rng = random.Random(3)
+    ctx = linear_space_context(3, 2)
+    got = intersect_cycles(_seeded_curve(rng), _seeded_affine_curve(rng), ctx)
+    assert got.dim == 0
+    assert (3, 2) in linspace._FNK_CACHE and (3, 3) not in linspace._FNK_CACHE

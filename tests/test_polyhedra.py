@@ -1388,13 +1388,16 @@ def _cuts_per_piece(x, carrier, refine=_refine):
 
 
 def test_refinement_cuts_each_piece_once():
-    """In a seeded L^3_2 product, [C x D] is refined along F^3_3; a
-    piece that lies in several carrier cells is cut for the first only."""
+    """[C x D] for seeded curves of L^3_2 refined along F^3_3: a piece
+    that lies in several carrier cells is cut for the first only.  The
+    L^3_2 product itself refines [C x D] along the 78 cones of F^3_2."""
     rng = random.Random(15)
     ctx = linear_space_context(3, 2)
     fan, affine = _seeded_curve(rng), _seeded_affine_curve(rng)
     calls = _refinements_of(lambda: intersect_cycles(fan, affine, ctx))
-    [(x, carrier)] = [(x, c) for x, c in calls if x == cross(fan, affine)]
+    [used] = [c for x, c in calls if x == cross(fan, affine)]
+    assert set(used.maximal) == set(build_fnk(3, 2).maximal) and len(used.maximal) == 78
+    x, carrier = cross(fan, affine), build_fnk(3, 3)
     assert len(carrier.maximal) == 80
     pieces, made = _cuts_per_piece(x, carrier)
     assert set(made) == pieces and set(made.values()) == {1}
