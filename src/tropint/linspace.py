@@ -15,7 +15,9 @@ representation, stars included, is verified exactly on the fan F^n_n:
 [L^n_m x L^n_m] refined along F^n_n is the weight-one subfan F^n_m, every
 factor is a ray function on F^n_n, and F^n_n is unimodular, so the
 divisors are computed with integers alone, on cones given as bitmasks of
-their symbols.  The tuples are applied along the factor tree of the
+their symbols.  The rays are expanded in the basis of a maximal cone in
+closed form, from D_i = T_i + B_i and sum T_i = sum B_i = 0, with no
+elimination.  The tuples are applied along the factor tree of the
 geometric chain (`functions._plan`): shared prefixes are divided once,
 and sibling last factors are summed by linearity.  The star at a cell
 tau = cone{-e_i : i in I} is the star of that subfan at the cone
@@ -35,7 +37,6 @@ from itertools import combinations
 from math import comb
 from operator import mul
 
-from .exactmath import hnf
 from .functions import CartierExpression, PLFunction, _plan, ray_function
 from .polyhedra import (
     Complex,
@@ -58,7 +59,9 @@ _REWRITE_CACHE = _module_cache()
 
 
 def neg_e(n, i):
-    """-e_i in R^n, where e_0 = -e_1 - ... - e_n."""
+    """-e_i in R^n, where e_0 = -e_1 - ... - e_n, for i in 0..n."""
+    if not 0 <= i <= n:
+        raise TropicalGeometryError("no ray -e_%d in R^%d" % (i, n))
     if i == 0:
         return (1,) * n
     return tuple(-1 if j == i - 1 else 0 for j in range(n))
@@ -67,14 +70,14 @@ def neg_e(n, i):
 def symbol_ray(n, sym):
     """The ray of R^{2n} a symbol stands for."""
     kind, i = sym
+    if kind not in ("T", "B", "D") or not 0 <= i <= n:
+        raise TropicalGeometryError("unknown symbol %r for n = %d" % (sym, n))
     zero = (0,) * n
     if kind == "T":
         return neg_e(n, i) + zero
     if kind == "B":
         return zero + neg_e(n, i)
-    if kind == "D":
-        return neg_e(n, i) + neg_e(n, i)
-    raise ValueError("unknown symbol %r" % (sym,))
+    return neg_e(n, i) + neg_e(n, i)
 
 
 def symbol_name(sym):
@@ -292,20 +295,20 @@ class _SymbolFan:
     integer form on the ray values per face, and `divisor` evaluates the
     forms for any phi.  The normal sum is expanded in the basis of a
     maximal cone of F^n_n containing tau (its host): the rays are expanded
-    there once per host, from one unimodular integer inverse, and the
-    expansions are added; a sum with a coordinate outside tau means the
-    subfan is not balanced.  The expansions are kept, sparse, for the
-    lifetime of the instance.  On the star of a subfan at a cone, whose
-    span is then lineality, only the facets containing that cone count.
+    there once per host, in closed form from D_i = T_i + B_i and
+    sum T_i = sum B_i = 0, and the expansions are added; a sum with a
+    coordinate outside tau means the subfan is not balanced.  The
+    expansions are kept, sparse, for the lifetime of the instance.  On
+    the star of a subfan at a cone, whose span is then lineality, only
+    the facets containing that cone count.
     """
 
-    __slots__ = ("n", "symbols", "index", "rays", "_bases")
+    __slots__ = ("n", "symbols", "index", "_bases")
 
     def __init__(self, n):
         self.n = n
         self.symbols = _symbols(n)
         self.index = {sym: j for j, sym in enumerate(self.symbols)}
-        self.rays = [symbol_ray(n, sym) for sym in self.symbols]
         self._bases = {}
 
     def mask(self, symbols):
@@ -325,7 +328,7 @@ class _SymbolFan:
 
     def _basis(self, tau):
         """Every ray expanded in the basis of the host of the cone tau, as
-        (ray, coefficient) pairs.
+        (ray, coefficient) pairs in ray order.
 
         The host is the cone of F^n_n for the n-subsets I' = {0..n} - {x}
         and J' = {0..n} - {y}, where x (y) is the least index at which tau
@@ -347,17 +350,7 @@ class _SymbolFan:
             raise TropicalGeometryError("not a cone of F^%d_%d" % (self.n, self.n))
         got = self._bases.get(host)
         if got is None:
-            js = [j for j in range(3 * m) if host >> j & 1]
-            _, u = hnf([self.rays[j] for j in js])
-            cols = list(zip(*u))
-            got = [
-                tuple(
-                    (j, a)
-                    for j, a in zip(js, [sum(map(mul, col, r)) for col in cols])
-                    if a
-                )
-                for r in self.rays
-            ]
+            got = _host_expansions(m, x.bit_length() - 1, y.bit_length() - 1, bs)
             self._bases[host] = got
         return got
 
@@ -447,6 +440,42 @@ class _SymbolFan:
         terms = [(alpha, tuple(map(self.values, combos))) for alpha, combos in tuples]
         walk(cones, _plan(terms, _sum_values))
         return {tau: w for tau, w in got.items() if w}
+
+
+def _host_expansions(m, x, y, bmask):
+    """The rays T_0..T_n, B_0..B_n, D_0..D_n expanded in the host basis
+    that `_SymbolFan._basis` describes, as sorted (ray, coefficient) pairs.
+
+    At each i other than x and y the host has D_i and one of B_i (when bit
+    i of `bmask` is set) or T_i, and the other is D_i minus it.  For
+    x != y it also has T_y and B_x.  Then T_x = -sum_{i != x} T_i,
+    B_y = -sum_{i != y} B_i, and D_x, D_y are T + B.
+    """
+    t, b = [None] * m, [None] * m
+    for i in range(m):
+        if i == x or i == y:
+            continue
+        if bmask >> i & 1:
+            t[i], b[i] = {2 * m + i: 1, m + i: -1}, {m + i: 1}
+        else:
+            t[i], b[i] = {i: 1}, {2 * m + i: 1, i: -1}
+    if x != y:
+        t[y], b[x] = {y: 1}, {m + x: 1}
+    t[x] = _combine((-1, e) for i, e in enumerate(t) if i != x)
+    b[y] = _combine((-1, e) for i, e in enumerate(b) if i != y)
+    d = [{2 * m + i: 1} for i in range(m)]
+    for i in {x, y}:
+        d[i] = _combine(((1, t[i]), (1, b[i])))
+    return [tuple(sorted((j, a) for j, a in e.items() if a)) for e in t + b + d]
+
+
+def _combine(terms):
+    """sum c e over (c, e) pairs of sparse expansions."""
+    total = {}
+    for c, e in terms:
+        for j, a in e.items():
+            total[j] = total.get(j, 0) + c * a
+    return total
 
 
 def _sum_values(pairs):

@@ -1,8 +1,10 @@
 import random
+from operator import mul
 
 import pytest
 
 from test_exactmath import frac_det
+from tropint.exactmath import hnf
 from tropint.functions import UnbalancedCycleError, _merge, _plan, divisor
 from tropint.intersect import AmbientContext
 from tropint.linspace import (
@@ -10,12 +12,14 @@ from tropint.linspace import (
     _fan_identity,
     _sum_values,
     _symbol_cones,
+    _symbol_expression,
     _symbols,
     build_fnk,
     build_lnk,
     combination_name,
     diagonal_divisors_rn,
     fnk_cycle,
+    neg_e,
     parse_symbol,
     relations_check,
     rewrite_diagonal,
@@ -52,6 +56,23 @@ def test_symbol_table():
         assert symbol_name(parse_symbol(name)) == name
     assert combination_name({("T", 1): 1, ("B", 0): 1, ("T", 0): -2}) == "T1+B-2A"
     assert combination_name({}) == "0"
+
+
+def test_symbols_outside_the_table_are_refused():
+    # an index outside 0..n or an unknown kind names no ray: both the
+    # geometric and the fan engine refuse it instead of reading zero
+    for sym in [("T", 5), ("B", -1), ("D", 3), ("X", 1)]:
+        with pytest.raises(TropicalGeometryError):
+            symbol_ray(2, sym)
+        with pytest.raises(TropicalGeometryError):
+            symbol_function(2, {sym: 1, ("B", 0): 1})
+        with pytest.raises(TropicalGeometryError):
+            _symbol_expression(2, ((1, ({("T", 1): 1}, {sym: 1})),))
+        with pytest.raises(TropicalGeometryError):
+            _SymbolFan(2).values({sym: 1})
+    for i in (-1, 3):
+        with pytest.raises(TropicalGeometryError):
+            neg_e(2, i)
 
 
 def test_lnk_shape():
@@ -253,6 +274,54 @@ def test_fan_divisor_rejects_unbalanced_subfans():
     # a facet holding both T_1 and B_1 is no cone of F^2_2 and has no host
     with pytest.raises(TropicalGeometryError):
         fan.faces({fan.mask([("T", 0), ("T", 1), ("B", 1)]): 1})
+
+
+def _hnf_expansions(fan, host):
+    """Every ray expanded in the basis of the cone `host` through one
+    unimodular integer inverse: the reference for `_SymbolFan._basis`."""
+    rays = [symbol_ray(fan.n, sym) for sym in fan.symbols]
+    js = [j for j in range(len(rays)) if host >> j & 1]
+    _, u = hnf([rays[j] for j in js])
+    cols = list(zip(*u))
+    return [
+        tuple(
+            (j, a)
+            for j, a in zip(js, [sum(map(mul, col, r)) for col in cols])
+            if a
+        )
+        for r in rays
+    ]
+
+
+def _faces(cones):
+    """Every face of the cones, as bitmasks."""
+    out = set()
+    for sigma in cones:
+        tau = sigma
+        while True:
+            out.add(tau)
+            if not tau:
+                break
+            tau = (tau - 1) & sigma
+    return out
+
+
+def test_closed_form_host_expansions_match_the_integer_inverse():
+    # on every face of F^n_n for n <= 4, and on every maximal cone of F^5_5
+    # and F^6_6 (each is its own host), the expansions are those in the
+    # basis of a maximal cone holding the face
+    for n in range(1, 7):
+        fan = _SymbolFan(n)
+        hosts = _symbol_cones(n, n)
+        want = {}
+        for tau in _faces(hosts) if n <= 4 else hosts:
+            got = fan._basis(tau)
+            host = sum(1 << j for j, e in enumerate(got) if e == ((j, 1),))
+            assert host in hosts and host & tau == tau, (n, tau)
+            if host not in want:
+                want[host] = _hnf_expansions(fan, host)
+            assert got == want[host], (n, tau)
+        assert len(want) == len(hosts)
 
 
 def _random_tuples(rng, fan, depth):
