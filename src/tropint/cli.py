@@ -11,6 +11,7 @@ verification of a diagonal identity fails.
 """
 
 import argparse
+import functools
 import sys
 
 from . import formats
@@ -243,6 +244,7 @@ def _cmd_equal(args):
     return 0 if same else 1
 
 
+@functools.cache
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

@@ -45,12 +45,11 @@ products, pull-backs and relation checks ask it through `support_covers`.
 
 Products of cells are built from the factors' homogeneous generators, so
 a product found in the build memo costs no Fraction arithmetic.  A cell
-built from a known cell takes the span equations, lineality basis and
-direction lattice it shares with it (`_build_from_hom`,
-`Cell.direction_lattice`), so the integer kernels run only for bare
-generators, for faces' span equations, for cuts that change the span or
-the lineality, and for the lattices of cells of dimension two or more
-that are neither such cuts nor products.
+built from a known cell is given the span equations, lineality basis and
+direction lattice it shares with it (`_build_from_hom`), so the integer
+kernels run only for bare generators, for faces' span equations, for cuts
+that change the span or the lineality, and for the lattices of cells of
+dimension two or more that are neither such cuts nor products.
 Balancing around a codimension-one cell tau is tested with integer dot
 products: a sum of lattice normals lies in the span of tau iff every span
 equation of tau vanishes on it.  That sum of weighted lattice normals is
@@ -358,17 +357,12 @@ class Cell:
         is a direction along the cell iff (r, 0) lies in the span of the
         homogenization.
 
-        A cell of dimension at most one needs no kernel: one primitive
+        A cell built with a known lattice (`_build_from_hom`) keeps it, and
+        a cell of dimension at most one needs no kernel: one primitive
         direction, led by a positive entry, is the HNF basis of its
-        lattice.  A cut that keeps the span of its cell, and a product,
-        are built with a function here instead (`cut_cell_by_hom_forms`,
-        `cross_cells`): the same span has the same lattice, and the
-        directions of a product are the pairs of its factors' directions,
-        so its lattice is the block of theirs, zero-padded, which is in
-        HNF.  The function is called on first use, so it computes nothing
-        the cell does not need."""
+        lattice."""
         lat = self._dirlat
-        if type(lat) is tuple:
+        if lat is not None:
             return lat
         if 0 <= self.dim <= 1:
             gens = self.hom_lin() + self.hom_gens()
@@ -381,10 +375,8 @@ class Cell:
             else:
                 d = primitive_vector(d)
                 lat = (d if next(x for x in d if x) > 0 else vec_neg(d),)
-        elif lat is None:
-            lat = integer_kernel([e[:-1] for e in self.hom_eqs], self.ambient_dim)
         else:
-            lat = lat()
+            lat = integer_kernel([e[:-1] for e in self.hom_eqs], self.ambient_dim)
         self._dirlat = lat
         return lat
 
@@ -469,7 +461,9 @@ def _facets_by_incidence(hgens, eqs, candidates):
     return tuple(sorted(_reduce_mod(faces[m], eqs) for m in maximal))
 
 
-def _build_from_hom(ambient_dim, hgens, hlin, candidates=None, *, eqs=None, plin=None):
+def _build_from_hom(
+    ambient_dim, hgens, hlin, candidates=None, *, eqs=None, plin=None, lattice=None
+):
     """Canonical cell from homogeneous generators (last coordinate is t).
 
     The facets are picked by incidence (`_facets_by_incidence`) from
@@ -488,17 +482,21 @@ def _build_from_hom(ambient_dim, hgens, hlin, candidates=None, *, eqs=None, plin
     returns only extreme ones, and a product pairs its factors'), so they
     are only reduced modulo the lineality.
 
-    `eqs` and `plin`, when given, are the HNF bases of the span equations
-    and of the lineality of the cell, which the build otherwise computes
-    as the integer kernels of hgens + hlin and of facets + eqs.  Both
+    `eqs`, `plin` and `lattice`, when given, are the HNF bases of the span
+    equations, the lineality and the direction lattice of the cell.  The
+    build otherwise computes the first two as the integer kernels of
+    hgens + hlin and of facets + eqs, and `Cell.direction_lattice` the
+    third on first use; a memo hit still without a lattice takes it.  The
     bases are canonical, so a cell with the span or the lineality of a
     known cell takes that cell's.  `cut_cell_by_hom_forms` passes the
-    cell's equations when `_cut` reports that the span was kept, and its
-    lineality when no form crossed the lineality; `Cell._face` passes the
-    parent's lineality, which every face shares, but not its equations:
-    the parent's equations and a facet form need not span a saturated
-    lattice, as (2, 1) and (0, 1) span one without (1, 0).  `cross_cells`
-    passes the block of both factors' lineality bases.
+    cell's equations and lattice when `_cut` reports that the span was
+    kept, and its lineality when no form crossed the lineality;
+    `Cell._face` passes the parent's lineality, which every face shares,
+    but not its equations: the parent's equations and a facet form need
+    not span a saturated lattice, as (2, 1) and (0, 1) span one without
+    (1, 0).  `cross_cells` passes the blocks of both factors' lineality
+    bases and lattices: the directions of a product are the pairs of its
+    factors' directions.
 
     A cell from bare generators (`make_cell`, hence `map_cell`,
     `cone_from_generators`, `star_cell` and parsing) passes no candidates
@@ -517,6 +515,8 @@ def _build_from_hom(ambient_dim, hgens, hlin, candidates=None, *, eqs=None, plin
     memo_key = (ambient_dim, frozenset(hgens), frozenset(hlin))
     got = _BUILD_MEMO.get(memo_key)
     if got is not None:
+        if got._dirlat is None:
+            got._dirlat = lattice
         return got
     if eqs is None:
         eqs = integer_kernel(hgens + hlin, n1)
@@ -556,6 +556,8 @@ def _build_from_hom(ambient_dim, hgens, hlin, candidates=None, *, eqs=None, plin
         plin,
     )
     cell = _intern(cell)
+    if cell._dirlat is None:
+        cell._dirlat = lattice
     _BUILD_MEMO[memo_key] = cell
     return cell
 
@@ -630,18 +632,15 @@ def cut_cell_by_hom_forms(cell, ineqs, eqs=()):
     ineqs = tuple(ineqs)
     cell_lin = cell.hom_lin()
     rays, lin, kept = _cut(cell.hom_gens(), cell_lin, cell.hom_facets, eqs, ineqs)
-    out = _build_from_hom(
+    return _build_from_hom(
         cell.ambient_dim,
         rays,
         lin,
         lambda: cell.hom_facets + ineqs,
         eqs=cell.hom_eqs if kept else None,
         plin=lin if len(lin) == len(cell_lin) else None,
+        lattice=cell.direction_lattice() if kept else None,
     )
-    # a proper subset of the cell, so lattices never refer back in a cycle
-    if kept and out._dirlat is None and out != cell:
-        out._dirlat = cell.direction_lattice
-    return out
 
 
 def cross_cells(a, b):
@@ -681,17 +680,11 @@ def cross_cells(a, b):
             za + f for f in b.hom_facets
         ]
 
-    def lattice():
-        return tuple(l + pad for l in a.direction_lattice()) + tuple(
-            za + l for l in b.direction_lattice()
-        )
-
-    out = _build_from_hom(
-        a.ambient_dim + b.ambient_dim, tuple(hgens), hlin, candidates, plin=hlin
+    lat = tuple(l + pad for l in a.direction_lattice()) + tuple(
+        za + l for l in b.direction_lattice()
     )
-    if out._dirlat is None:
-        out._dirlat = lattice
-    return out
+    dim = a.ambient_dim + b.ambient_dim
+    return _build_from_hom(dim, tuple(hgens), hlin, candidates, plin=hlin, lattice=lat)
 
 
 def is_face(cell, face):

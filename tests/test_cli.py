@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -245,6 +248,34 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    """A usage error, then two different commands, run in this process
+    give the exit codes and stdout bytes of separate processes."""
+    calls = [
+        ["lnk", "--n", "3"],
+        ["lnk", "--n", "3", "--k", "2", "--quiet"],
+        ["diagonal-rewrite", "--n", "2", "--k", "1", "--quiet"],
+    ]
+    here = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        here.append((code, capsys.readouterr().out.encode("ascii")))
+    assert cli._build_parser() is cli._build_parser()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    apart = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropint.cli", *argv], capture_output=True, env=env
+        )
+        apart.append((proc.returncode, proc.stdout))
+    assert here == apart
+    assert [code for code, _ in here] == [1, 0, 0] and all(out for _, out in here[1:])
+
+
 def test_internal_verification_failure_exits_two(tmp_path, capsys, monkeypatch):
     a = write(tmp_path / "a.cycle", build_lnk(2, 1))
 
@@ -271,6 +302,17 @@ def test_parenthesized_ambients_give_the_same_bytes(tmp_path, capsys):
             assert code == 0 and out
             outs.add(out)
         assert len(outs) == 1, ambients
+
+
+def test_products_with_the_point_r0_give_the_same_bytes(tmp_path, capsys):
+    plane = write(tmp_path / "plane.cycle", build_lnk(3, 2))
+    clear_caches()
+    outs = set()
+    for amb in ("product:lnk:3,2;lnk:0,0", "product:lnk:0,0;lnk:3,2", "lnk:3,2"):
+        code, out, _ = run(capsys, "intersect", plane, plane, "--ambient", amb, "--quiet")
+        assert code == 0 and out, amb
+        outs.add(out)
+    assert len(outs) == 1
 
 
 def test_bad_ambients_exit_one(tmp_path, capsys):

@@ -26,7 +26,7 @@ from tropint.intersect import (
     pushforward,
     star_context,
 )
-from tropint.linspace import build_fnk, build_lnk, symbol_function
+from tropint.linspace import build_fnk, build_lnk, rn_cycle, symbol_function
 from tropint.polyhedra import (
     TropicalGeometryError,
     VerificationError,
@@ -317,6 +317,15 @@ def test_pullback_projection_is_cross():
         assert cycles_equal(pullback_cycle(p, e, prod, ctx1), cross(r1, e))
 
 
+def test_pullback_to_the_point_r0():
+    # the map R^2 -> R^0 pulls the point R^0 back to the whole of R^2
+    polyhedra.clear_caches()
+    f = Morphism((), source_dim=2)
+    r0 = linear_space_context(0, 0)
+    got = pullback_cycle(f, rn_cycle(0), linear_space_context(2, 2), r0)
+    assert cycles_equal(got, rn_cycle(2))
+
+
 def test_pullback_functoriality():
     # p after delta is the identity on R
     ctx1 = linear_space_context(1, 1)
@@ -391,6 +400,17 @@ def test_product_contexts_are_verified_by_their_factors():
         ctx = product_context(cx, cy)
         assert ctx.verified, (cx.label, cy.label)
         assert AmbientContext(ctx.ambient, ctx.stages).verify()
+
+
+def test_products_with_the_point_r0():
+    # R^0 is the unit of products of ambients, on either side
+    polyhedra.clear_caches()
+    l32, r0 = linear_space_context(3, 2), linear_space_context(0, 0)
+    line, plane = build_lnk(3, 1), build_lnk(3, 2)
+    for ctx in (product_context(l32, r0), product_context(r0, l32)):
+        for a, b in ((line, line), (plane, line)):
+            got = intersect_cycles(a, b, ctx)
+            assert cycles_equal(got, intersect_cycles(a, b, l32)), (ctx, a, b)
 
 
 def test_product_stages_are_pulled_back_on_first_use(monkeypatch):

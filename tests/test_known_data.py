@@ -20,7 +20,7 @@ from tropint.intersect import (
     pullback_cycle,
     star_context,
 )
-from tropint.linspace import build_lnk
+from tropint.linspace import build_lnk, rn_cycle
 from tropint.polyhedra import (
     Complex,
     common_refinement,
@@ -39,16 +39,25 @@ from tropint.polyhedra import (
 L32_RAYS = ((1, 1, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1))
 
 
+def lattice_kernel(cell):
+    return integer_kernel([e[:-1] for e in cell.hom_eqs], cell.ambient_dim)
+
+
 @pytest.fixture
 def known_checked(monkeypatch):
-    """Recompute the kernels for every build given `eqs` or `plin` and for
-    every direction lattice not computed as a kernel, and assert they are
-    equal.  Returns a Counter of the checks made, by kind."""
-    build, lattice = polyhedra._build_from_hom, polyhedra.Cell.direction_lattice
+    """Recompute the kernels for every build given `eqs`, `plin` or
+    `lattice` and assert they are equal; check every lattice read off one
+    generator too.  Returns a Counter of the builds checked, by what they
+    were given."""
+    build, read = polyhedra._build_from_hom, polyhedra.Cell.direction_lattice
     checked = Counter()
 
-    def checking_build(ambient_dim, hgens, hlin, candidates=None, *, eqs=None, plin=None):
-        cell = build(ambient_dim, hgens, hlin, candidates, eqs=eqs, plin=plin)
+    def checking_build(
+        ambient_dim, hgens, hlin, candidates=None, *, eqs=None, plin=None, lattice=None
+    ):
+        cell = build(
+            ambient_dim, hgens, hlin, candidates, eqs=eqs, plin=plin, lattice=lattice
+        )
         if not cell.is_empty:
             n1 = ambient_dim + 1
             if eqs is not None:
@@ -58,15 +67,16 @@ def known_checked(monkeypatch):
             if plin is not None:
                 assert plin == integer_kernel(cell.hom_facets + cell.hom_eqs, n1)
                 checked["plin"] += 1
+            if lattice is not None:
+                assert lattice == cell._dirlat == lattice_kernel(cell)
+                checked["lattice"] += 1
         return cell
 
     def checking_lattice(cell):
         known = cell._dirlat
-        got = lattice(cell)
-        if type(known) is not tuple and (known is not None or 0 <= cell.dim <= 1):
-            eqs = [e[:-1] for e in cell.hom_eqs]
-            assert got == integer_kernel(eqs, cell.ambient_dim)
-            checked["lattice"] += 1
+        got = read(cell)
+        if known is None and 0 <= cell.dim <= 1:
+            assert got == lattice_kernel(cell)
         return got
 
     monkeypatch.setattr(polyhedra, "_build_from_hom", checking_build)
@@ -218,9 +228,20 @@ def test_products_take_the_block_of_their_factors_lattices(known_checked):
     a = make_cell(2, [(0, 0)], [(2, 1), (0, 1)])
     b = make_cell(3, [(F(1, 2), 0, 0)], [(1, 1, 0)], [(0, 1, 3)])
     c = cross_cells(a, b)
-    assert c.dim == 4 and a._dirlat is None  # nothing computed before use
+    assert c.dim == 4
     la, lb = a.direction_lattice(), b.direction_lattice()
     assert c.direction_lattice() == tuple(l + (0, 0, 0) for l in la) + tuple(
         (0, 0) + l for l in lb
     )
     assert known_checked["lattice"] == 1
+
+
+def test_products_with_the_point_r0_keep_the_other_factors_lattice(known_checked):
+    """A product with the point of R^0 is a build memo hit on the other
+    factor's cell, whose lattice may still be unknown: it takes the block
+    of the factors' lattices, that cell's own."""
+    polyhedra.clear_caches()
+    l32 = build_lnk(3, 2)
+    for x in (cross(l32, rn_cycle(0)), cross(rn_cycle(0), l32)):
+        assert is_balanced(x) and cycles_equal(x, l32)
+    assert known_checked["lattice"] >= 2 * len(l32.cells)
