@@ -84,18 +84,24 @@ class PLFunction:
                 inter = intersect_cells(cells[i], cells[j])
                 if inter.is_empty:
                     continue
-                dc = vec_sub(self.forms[i][0], self.forms[j][0])
-                do = self.forms[i][1] - self.forms[j][1]
-                for v in inter.vertices:
-                    if vec_dot(dc, v) + do != 0:
-                        raise VerificationError("forms disagree on a shared face")
-                for r in inter.rays + inter.lineality:
-                    if vec_dot(dc, r) != 0:
-                        raise VerificationError("forms disagree on a shared face")
+                if any(_difference_values(self.forms[i], self.forms[j], inter)):
+                    raise VerificationError("forms disagree on a shared face")
         return True
 
     def __repr__(self):
         return "PLFunction(ambient=%d, %d cells)" % (self.ambient_dim, len(self.cells))
+
+
+def _difference_values(form, other, cell):
+    """The values of h = (cov - cov', off - off'), the homogeneous form of
+    the difference of two affine forms (cov, off), on the generators of the
+    cell's homogenization: its homogeneous generators, then each lineality
+    direction and its negative.  At a vertex generator (w, t), t > 0, h
+    takes t times the difference at w / t, so the difference is >= 0 (or 0)
+    on the cell iff every value is."""
+    h = vec_sub(form[0], other[0]) + (form[1] - other[1],)
+    at_lin = [vec_dot(h, l) for l in cell.hom_lin()]
+    return [vec_dot(h, g) for g in cell.hom_gens()] + at_lin + [-x for x in at_lin]
 
 
 def affine_function(ambient_dim, covector, offset=0):
@@ -146,26 +152,12 @@ def max_poly_function(carrier, forms):
     cells = carrier.maximal
     chosen = []
     for cell in cells:
-        winner = None
-        for cov, off in forms:
-            ok = True
-            for cov2, off2 in forms:
-                dc = vec_sub(cov, cov2)
-                do = off - off2
-                if any(vec_dot(dc, v) + do < 0 for v in cell.vertices):
-                    ok = False
-                elif any(vec_dot(dc, r) < 0 for r in cell.rays):
-                    ok = False
-                elif any(vec_dot(dc, l) != 0 for l in cell.lineality):
-                    ok = False
-                if not ok:
-                    break
-            if ok:
-                winner = (cov, off)
+        for form in forms:
+            if all(x >= 0 for o in forms for x in _difference_values(form, o, cell)):
+                chosen.append(form)
                 break
-        if winner is None:
+        else:
             raise TropicalGeometryError("function is not linear on a carrier cell")
-        chosen.append(winner)
     return PLFunction(cells, chosen)
 
 

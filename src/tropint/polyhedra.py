@@ -1,8 +1,12 @@
 """Rational polyhedral cells, complexes and weighted balanced cycles.
 
 Cells are kept in a canonical V-representation (vertices, primitive rays,
-HNF lineality basis, everything reduced modulo lineality) so that equality
-of cells is structural equality of the underlying sets.  The H-representation
+HNF lineality basis, everything reduced modulo lineality), and canonical
+cells are unique objects: every build goes through a pool of the live
+cells keyed by that representation, so two cells are equal iff they are
+identical, and dicts and sets hash them by identity.  The pool is weak,
+so it keeps no cell alive and needs no bound, and it is never cleared,
+since that would split a live cell into two objects.  The H-representation
 (facet inequalities and span equations of the homogenization) is derived
 once per cell and kept with it.  Every cell picks its facets by incidence
 from candidate inequalities: they are the candidates whose sets of tight
@@ -63,6 +67,7 @@ Conventions:
 
 from fractions import Fraction
 from math import gcd
+from weakref import WeakValueDictionary
 
 from .exactmath import (
     _pivot_col,
@@ -230,14 +235,16 @@ def _module_cache():
     return _CACHES[-1]
 
 
-_CELL_POOL = _module_cache()
+_CELL_POOL = WeakValueDictionary()  # Cell.key() -> the live cell; not a cache
 _INTERSECT_MEMO = _module_cache()
 _NORMAL_MEMO = _module_cache()
 _BUILD_MEMO = _module_cache()
 
 
 def clear_caches():
-    """Empty every module cache: cells, memos, spaces and contexts."""
+    """Empty every module cache: memos, spaces and contexts.  The pool of
+    live cells is not a cache and stays: a live cell is rebuilt as the
+    same object, and a cell nothing holds any more leaves the pool."""
     for cache in _CACHES:
         cache.clear()
 
@@ -253,11 +260,11 @@ class Cell:
         "dim",
         "hom_facets",
         "hom_eqs",
-        "_hash",
         "_hom_gens",
         "_hom_lin",
         "_facet_cells",
         "_dirlat",
+        "__weakref__",
     )
 
     def __init__(
@@ -271,7 +278,6 @@ class Cell:
         self.dim = dim
         self.hom_facets = hom_facets
         self.hom_eqs = hom_eqs
-        self._hash = hash((ambient_dim, vertices, rays, lineality))
         self._hom_gens = hom_gens
         self._hom_lin = hom_lin
         self._facet_cells = None
@@ -287,14 +293,6 @@ class Cell:
 
     def key(self):
         return (self.ambient_dim, self.vertices, self.rays, self.lineality)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Cell) and self.key() == other.key()
-        )
 
     def __repr__(self):
         if self.is_empty:
@@ -413,16 +411,14 @@ class Cell:
 
 
 def _intern(cell):
-    got = _CELL_POOL.get(cell.key())
-    if got is not None:
-        return got
-    _CELL_POOL[cell.key()] = cell
-    return cell
+    """The live cell with the key of `cell`, or `cell` itself, now pooled,
+    when there is none: every cell is built through here, so equal cells
+    are one object."""
+    return _CELL_POOL.setdefault(cell.key(), cell)
 
 
 def _empty_cell(ambient_dim):
-    cell = Cell(ambient_dim, (), (), (), -1, (), (), (), ())
-    return _intern(cell)
+    return _intern(Cell(ambient_dim, (), (), (), -1, (), (), (), ()))
 
 
 def _interior(cell):

@@ -1,5 +1,6 @@
 """PL functions and divisors: corner loci, kink functions, pullbacks."""
 
+import collections
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from tropint.functions import (
     ray_function,
     scale_function,
 )
-from tropint.exactmath import integer_kernel
+from tropint.exactmath import integer_kernel, vec_dot
 from tropint.intersect import (
     intersect_cycles,
     linear_space_context,
@@ -437,6 +438,57 @@ def test_function_continuity_validation():
     bad = PLFunction(cells, (((0,), 0), ((1,), 1)))
     with pytest.raises(VerificationError):
         bad.validate()
+
+
+def _loops_nonnegative(dc, do, cell):
+    """x -> dc.x + do is >= 0 on the cell, read off its Fraction vertices,
+    rays and lineality."""
+    return (
+        all(vec_dot(dc, v) + do >= 0 for v in cell.vertices)
+        and all(vec_dot(dc, r) >= 0 for r in cell.rays)
+        and all(vec_dot(dc, l) == 0 for l in cell.lineality)
+    )
+
+
+def _loops_vanish(dc, do, cell):
+    """x -> dc.x + do is 0 on the cell, read the same way."""
+    return all(vec_dot(dc, v) + do == 0 for v in cell.vertices) and all(
+        vec_dot(dc, r) == 0 for r in cell.rays + cell.lineality
+    )
+
+
+def test_difference_forms_on_generators_match_the_vertex_loops():
+    """A difference of affine forms read on a cell's homogeneous generators,
+    as max_poly_function and PLFunction.validate read it, is >= 0 or 0 on
+    seeded cells with rational vertices, rays and lineality exactly when
+    the loops over the cell's vertices, rays and lineality say so."""
+    rng = random.Random(4242)
+    seen = collections.Counter()
+    for _ in range(400):
+        n = rng.randint(1, 3)
+
+        def rational():
+            return F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+
+        def direction():
+            return tuple(rng.randint(-2, 2) for _ in range(n))
+
+        verts = [tuple(rational() for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        rays = [direction() for _ in range(rng.randint(0, 2))]
+        lin = [direction() for _ in range(rng.choice((0, 0, 1)))]
+        cell = make_cell(n, verts, rays, lin)
+        dc = direction() if rng.random() < 0.8 else (0,) * n
+        # an offset tight at a vertex of the cell, or any rational one
+        v = rng.choice(cell.vertices)
+        do = -vec_dot(dc, v) if rng.random() < 0.7 else rational()
+        cov, off = direction(), rational()
+        form, other = (cov, off), (tuple(a - b for a, b in zip(cov, dc)), off - do)
+        values = functions._difference_values(form, other, cell)
+        nonnegative, vanish = all(x >= 0 for x in values), not any(values)
+        assert nonnegative == _loops_nonnegative(dc, do, cell)
+        assert vanish == _loops_vanish(dc, do, cell)
+        seen[nonnegative, vanish] += 1
+    assert min(seen[k] for k in ((False, False), (True, False), (True, True))) >= 30, seen
 
 
 def test_cartier_expression():

@@ -494,7 +494,6 @@ def test_unverified_context_is_checked_before_use():
 
 def test_clear_caches_empties_every_module_cache():
     caches = [
-        polyhedra._CELL_POOL,
         polyhedra._INTERSECT_MEMO,
         polyhedra._NORMAL_MEMO,
         polyhedra._BUILD_MEMO,
@@ -508,8 +507,12 @@ def test_clear_caches_empties_every_module_cache():
     build_fnk(2, 1)
     intersect_cycles(ctx.ambient, point((1, 1)), ctx)
     assert all(caches)
+    # the pool of live cells is not a cache: a live cell stays one object
+    live = ctx.ambient.cells[0][0]
     polyhedra.clear_caches()
     assert not any(caches)
+    assert polyhedra._CELL_POOL[live.key()] is live
+    assert make_cell(2, live.vertices, live.rays, live.lineality) is live
     again = linear_space_context(2, 1)
     assert again is not ctx and again.verified
     got = intersect_cycles(again.ambient, point((1, 1)), again)

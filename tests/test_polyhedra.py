@@ -11,9 +11,11 @@ and rays of every build those a rank test picks from its generators.
 """
 
 import collections
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -43,10 +45,10 @@ from tropint.intersect import (
     pullback_cycle,
     star_context,
 )
-from tropint.linspace import build_fnk, build_lnk, fnk_cycle
+from tropint.formats import parse_document, serialize
+from tropint.linspace import build_fnk, build_lnk, fnk_cycle, rn_cycle
 from tropint.polyhedra import (
     _BUILD_MEMO,
-    _CELL_POOL,
     Complex,
     TropicalGeometryError,
     VerificationError,
@@ -700,21 +702,57 @@ def test_star_cell_translation():
     assert st == cone_from_generators(2, [(1, 0), (0, 1)])
 
 
+def test_cells_are_unique():
+    """Equal cells are one object, however they are reached, also after
+    clear_caches(); a cell that nothing holds leaves the pool."""
+    corners = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0)]
+    square = make_cell(3, corners)
+    # permuted and redundant generators
+    assert make_cell(3, corners[::-1] + [(1, 1, 0), (2, 1, 0), (0, 0, 0)]) is square
+    # a cut by x + 5 >= 0, which keeps the cell
+    assert cut_cell_by_hom_forms(square, ((1, 0, 0, 5),)) is square
+    # a face of the cube [0, 2]^3
+    cube = make_cell(3, corners + [v[:2] + (2,) for v in corners])
+    assert cube.face_at((1, 1, 0)) is square
+    assert sum(face is square for face, _ in cube.facet_cells()) == 1
+    # products with the point of R^0
+    origin = make_cell(0, [()])
+    assert cross_cells(square, origin) is square and cross_cells(origin, square) is square
+    x = make_cycle(3, 2, [(square, 3)])
+    assert cross(x, rn_cycle(0)).cells[0][0] is square
+    assert cross(rn_cycle(0), x).cells[0][0] is square
+    # a document round trip
+    assert parse_document(serialize(x)).cells[0][0] is square
+    # the pool is not a cache: a live cell is rebuilt as the same object
+    clear_caches()
+    assert make_cell(3, corners) is square and polyhedra._CELL_POOL[square.key()] is square
+    # and a cell nothing holds leaves it
+    triangle = make_cell(3, [(0, 0, 0), (7919, 0, 0), (0, 7919, 0)])
+    key = triangle.key()
+    assert polyhedra._CELL_POOL[key] is triangle
+    del triangle
+    clear_caches()
+    gc.collect()
+    assert key not in polyhedra._CELL_POOL
+
+
 # -- facets by incidence against the dual double description --------------
 
 
 def fresh(build):
-    """build() run against an empty build memo and cell pool, so that the
-    cell is computed and not looked up; both are restored afterwards."""
-    saved = dict(_BUILD_MEMO), dict(_CELL_POOL)
+    """The `cell_data` of build() run against an empty build memo and an
+    empty cell pool, so that the cell is computed and not looked up; both
+    are put back afterwards.  A fresh build is a second object by design,
+    so callers compare its data, not the cell."""
+    saved, pool = dict(_BUILD_MEMO), polyhedra._CELL_POOL
     _BUILD_MEMO.clear()
-    _CELL_POOL.clear()
+    polyhedra._CELL_POOL = weakref.WeakValueDictionary()
     try:
-        return build()
+        return cell_data(build())
     finally:
-        for cache, entries in zip((_BUILD_MEMO, _CELL_POOL), saved):
-            cache.clear()
-            cache.update(entries)
+        polyhedra._CELL_POOL = pool
+        _BUILD_MEMO.clear()
+        _BUILD_MEMO.update(saved)
 
 
 def cell_data(cell):
@@ -779,11 +817,9 @@ def both_ways(ambient_dim, hgens, hlin, forms):
         lambda: checked_bare_build(ambient_dim, hgens, hlin),
     ):
         try:
-            cell = fresh(build)
+            out.append(fresh(build))
         except VerificationError as exc:
             out.append(type(exc))
-        else:
-            out.append(cell_data(cell))
     return out
 
 
@@ -1015,7 +1051,8 @@ def test_cube_facets_match_the_rank_test():
     pass gives the 2n facets and the primal pass the 2^n vertices."""
     for n in (4, 5):
         corners = list(itertools.product((0, 1), repeat=n))
-        cube = fresh(lambda: make_cell(n, corners))
+        cube = make_cell(n, corners)
+        assert fresh(lambda: make_cell(n, corners)) == cell_data(cube)
         assert len(cube.hom_facets) == 2 * n and len(cube.vertices) == 2 ** n
         assert cube.hom_facets == facets_by_rank(cube.hom_gens(), ())
     corners = list(itertools.product((0, 1), repeat=4))
@@ -1024,12 +1061,12 @@ def test_cube_facets_match_the_rank_test():
         c[:i] + (F(1, 2),) + c[i + 1:] for c in corners for i in range(4) if not c[i]
     ]
     assert len(midpoints) == 32
-    assert fresh(lambda: make_cell(4, corners + midpoints)) == cube
+    assert fresh(lambda: make_cell(4, corners + midpoints)) == cell_data(cube)
     for extra in ([(F(1, 2),) * 4], midpoints):
         hgens = cube.hom_gens() + tuple(
             primitive_vector(clear_denominators(tuple(p) + (1,))[0]) for p in extra
         )
-        assert fresh(lambda: checked_bare_build(4, hgens, ())) == cube
+        assert fresh(lambda: checked_bare_build(4, hgens, ())) == cell_data(cube)
 
 
 # -- vertices and rays of bare builds against the rank test ---------------
@@ -1084,11 +1121,11 @@ def test_extreme_generators_by_incidence_match_the_rank_test():
             for hgens in (cell.hom_gens(), messy_generators(rng, cell)):
                 assert extremes_by_rank(hgens, cell.hom_facets, lin) == want
                 # the build from those generators keeps the cell
-                assert fresh(lambda: checked_bare_build(n, hgens, lin)) == cell
+                assert fresh(lambda: checked_bare_build(n, hgens, lin)) == cell_data(cell)
             built = fresh(
                 lambda: _build_from_hom(n, cell.hom_gens(), lin, lambda: cell.hom_facets)
             )
-            assert built == cell
+            assert built == cell_data(cell)
             tried[n] += 1
     assert all(count >= 15 for count in tried.values())
 
@@ -1099,11 +1136,12 @@ def test_extreme_generators_skip_the_lineality(extremes_checked):
     (vertex,) = line.hom_gens()
     lin = line.hom_lin()
     hgens = (vertex, lin[0], vec_neg(lin[0]), (2, 2, 0))
-    assert fresh(lambda: polyhedra._build_from_hom(2, hgens, lin)) == line
+    assert fresh(lambda: polyhedra._build_from_hom(2, hgens, lin)) == cell_data(line)
     # a generator of the lineality sits in the smallest face of every other
     plane = make_cell(3, vertices=[(0, 0, 1)], rays=[(1, 0, 0)], lineality=[(0, 1, 0)])
     hgens = plane.hom_gens() + ((0, 1, 0, 0), (0, -3, 0, 0), (1, 1, 0, 0), (0, 2, 2, 2))
-    assert fresh(lambda: polyhedra._build_from_hom(3, hgens, plane.hom_lin())) == plane
+    built = fresh(lambda: polyhedra._build_from_hom(3, hgens, plane.hom_lin()))
+    assert built == cell_data(plane)
     # the two cells from make_cell, then the two builds above
     assert len(extremes_checked) == 4
 
@@ -1438,7 +1476,7 @@ def test_cells_keep_the_generators_their_vertices_give():
         a = (1,) + tuple(rng.randint(-2, 2) for _ in range(cell.ambient_dim - 1))
         h = a + (-math.floor(vec_dot(a, cell.relint_point())),)
         built.append(cut_cell_by_hom_forms(cell, (h,)))
-    cells = [c for c in _CELL_POOL.values() if not c.is_empty]
+    cells = [c for c in polyhedra._CELL_POOL.values() if not c.is_empty]
     assert set(fan.maximal) <= set(cells) and len(cells) > 500
     for cell in cells:
         assert cell.hom_gens() == hom_gens_by_vertices(cell), cell
