@@ -1,4 +1,5 @@
-"""Canonical interchange documents for cycles, functions, and morphisms.
+"""Canonical interchange documents for cycles, functions, morphisms and
+diagonal representations of L^n_k (a star representation has none).
 
 Every document is a JSON object carrying a "kind" tag.  Exact values
 (coordinates, weights, covectors, offsets) are encoded as decimal strings
@@ -254,6 +255,8 @@ def _combo_doc(combo):
 
 
 def diagonal_to_doc(rep):
+    if rep.tau is not None:  # a document names no cell
+        raise FormatError("no interchange form for a star diagonal representation")
     k = rep.n - rep.space_dim
     return {
         "kind": "diagonal",

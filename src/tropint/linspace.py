@@ -30,7 +30,10 @@ Intersection contexts apply the tuples as ray functions on F^n_m itself
 F^n_n to the fan that [L^n_m x L^n_m] lies in: a divisor reads its
 function only on the cycle's support, and [C x D] is then cut along the
 cones of F^n_m alone.  Pull-backs and product contexts take the
-functions on F^n_n, whose pull-backs must cover the whole domain.
+functions on F^n_n, whose pull-backs must cover the whole domain.  Stars
+are cut cone by cone with `star_cell`, as `star` cuts a cycle.  Rewriting,
+the fan check, serialization and parsing build no cell: a representation
+carries its tuples, and its space is derived when read.
 """
 
 from itertools import combinations
@@ -46,10 +49,9 @@ from .polyhedra import (
     _space_cell,
     cone_from_generators,
     cross,
-    is_face,
-    localize_complex,
     make_cycle,
     star,
+    star_cell,
     support_covers,
 )
 
@@ -255,10 +257,14 @@ def _symbol_expression(n, tuples, point=None, k=None):
     distinct factor combination, on F^n_n or on its subfan F^n_k.
 
     With a point, each function is restricted to the star of that fan
-    there.
+    there, cone by cone (`star_cell`).
     """
     if point is not None:
-        _, pairs = localize_complex(build_fnk(n, n if k is None else k), point)
+        pairs = [
+            (star_cell(cone, point), cone)
+            for cone in build_fnk(n, n if k is None else k).maximal
+            if cone.contains_point(point)
+        ]
     functions = {}
 
     def function(combo):
@@ -487,7 +493,20 @@ def _sum_values(pairs):
     return (total,)
 
 
-def _fan_identity(n, c, tuples, complete, fixed=frozenset()):
+def _star_indices(n, c, tau):
+    """The set I with tau = cone{-e_i : i in I}, or None when tau is no
+    cell of L^n_c.  Any c <= n of the rays -e_i are independent, so the
+    cells are the pointed cones whose rays are at most c of them."""
+    if tau.ambient_dim != n or not tau.is_cone or tau.lineality:
+        return None
+    rays = {neg_e(n, i): i for i in range(n + 1)}
+    indices = {rays.get(r) for r in tau.rays}
+    if None in indices or len(indices) > c:
+        return None
+    return indices
+
+
+def _fan_identity(n, c, tuples, complete, fixed=()):
     """True iff the tuples, applied to the base subfan of F^n_n, give the
     diagonal of L^n_c, both taken as stars at the cone `fixed` = {D_i : i
     in I} (the star of L^n_c at cone{-e_i : i in I}).
@@ -518,7 +537,8 @@ class DiagonalRepresentation:
 
     `tuples` is a sequence of (coefficient, factor combinations) where each
     factor combination maps symbols to integers.  The space is L^n_c, c =
-    `space_dim`, or its star at the cell `tau`.  The base is
+    `space_dim`, or its star at the cell `tau`, derived when read; the
+    constructor checks c and tau and builds no cell.  The base is
     [space x space], or the complete fan [R^n x R^n] when `complete` is
     set (the full product form); it lies in F^n_c, or in F^n_n when
     complete.  `expression` carries the tuples' symbol functions on F^n_n,
@@ -533,22 +553,29 @@ class DiagonalRepresentation:
     """
 
     __slots__ = (
-        "n", "space_dim", "tuples", "space", "complete", "tau", "verified",
-        "_expressions",
+        "n", "space_dim", "tuples", "complete", "tau", "verified", "_expressions",
     )
 
     def __init__(self, n, space_dim, tuples, complete=False, tau=None):
-        space = build_lnk(n, space_dim)
-        if tau is not None:
-            space = star(space, tau, tau.relint_point())
+        if not 0 <= space_dim <= n:
+            raise TropicalGeometryError("need 0 <= space_dim <= n")
+        if tau is not None and _star_indices(n, space_dim, tau) is None:
+            raise TropicalGeometryError("tau is not a cell of the linear space")
         self.n = n
         self.space_dim = space_dim
         self.tuples = tuples
-        self.space = space
         self.complete = complete
         self.tau = tau
         self.verified = False
         self._expressions = {}  # k -> the expression on F^n_k
+
+    @property
+    def space(self):
+        """L^n_c, or its star at tau, built when read."""
+        space = build_lnk(self.n, self.space_dim)
+        if self.tau is not None:
+            space = star(space, self.tau, self.tau.relint_point())
+        return space
 
     def _expression_on(self, k):
         got = self._expressions.get(k)
@@ -570,12 +597,9 @@ class DiagonalRepresentation:
         return self._expression_on(self.n if self.complete else self.space_dim)
 
     def verify(self):
-        fixed = frozenset()
+        fixed = ()
         if self.tau is not None:
-            fixed = frozenset(
-                ("D", i) for i in range(self.n + 1)
-                if neg_e(self.n, i) in self.tau.rays
-            )
+            fixed = [("D", i) for i in _star_indices(self.n, self.space_dim, self.tau)]
         if not _fan_identity(self.n, self.space_dim, self.tuples, self.complete, fixed):
             raise VerificationError(
                 "diagonal representation failed its defining identity"
@@ -596,7 +620,7 @@ def rewrite_diagonal(n, k):
 
     Expands (T_1+B)...(T_n+B)(A+D)^k, deletes monomials that vanish by the
     relations between the symbol divisors, and factors (B+D)^k out of each
-    surviving monomial, processing correction terms in increasing (A+D)
+    surviving monomial, emitting correction terms in increasing (A+D)
     degree.  Emits tuples of n-k factor combinations whose weighted sum
     applied to [L^n_{n-k} x L^n_{n-k}] is the diagonal; the identity is
     verified exactly on the fan F^n_n before the representation is
@@ -608,36 +632,27 @@ def rewrite_diagonal(n, k):
     if got is not None:
         return got
     c = n - k
-    # states (S, s, t): the monomial T_S B^s (A+D)^{t+k}, |S| + s + t = n;
-    # monomials with more than n-k distinct T/D factors already vanish
-    states = {}
-    for size in range(c + 1):
-        for s_set in combinations(range(1, n + 1), size):
-            states[(frozenset(s_set), n - size, 0)] = 1
+    # Emitting alpha T_S B^s (A+D)^{t+k}, |S| + s + t = n, as the tuple
+    # T_S B^{s-k} (A+D)^t adds -alpha C(k, p) to T_S B^{s-p} (A+D)^{t+p+k},
+    # p = 1..k.  From T_S B^{n-|S|} (A+D)^k with coefficient one, the
+    # coefficient at t is that of x^t in (1+x)^-k, (-1)^t C(k+t-1, t), never
+    # zero.  Monomials with s < k (more than c distinct T/D factors) vanish
+    # by the relations; k = 0 makes no corrections.
     emitted = []
-    for t in range(n + 1):
-        layer = sorted(
-            (key for key in states if key[2] == t),
-            key=lambda key: (sorted(key[0]), key[1]),
+    for t in range(c + 1 if k else 1):
+        alpha = (-1) ** t * comb(k + t - 1, t) if t else 1
+        subsets = sorted(
+            s_set
+            for size in range(c - t + 1)
+            for s_set in combinations(range(1, n + 1), size)
         )
-        for key in layer:
-            alpha = states.pop(key)
-            if alpha == 0:
-                continue
-            s_set, s, tt = key
-            if s < k:
-                continue  # vanishing monomial, nothing to emit or correct
+        for s_set in subsets:
             factors = (
-                [{("T", i): 1} for i in sorted(s_set)]
-                + [{("B", 0): 1}] * (s - k)
-                + [{("T", 0): 1, ("D", 0): 1}] * tt
+                [{("T", i): 1} for i in s_set]
+                + [{("B", 0): 1}] * (c - t - len(s_set))
+                + [{("T", 0): 1, ("D", 0): 1}] * t
             )
             emitted.append((alpha, tuple(factors)))
-            for sp in range(1, k + 1):
-                if s - sp < k:
-                    break  # the remaining corrections vanish by the relations
-                nk = (s_set, s - sp, tt + sp)
-                states[nk] = states.get(nk, 0) - alpha * comb(k, sp)
     if c == 1:
         merged = {}
         for alpha, factors in emitted:
@@ -703,9 +718,6 @@ def star_diagonal(n, k, tau):
     verified on the star of the symbol fan at {D_i : -e_i a ray of tau}
     before returning; at the origin that star is the whole fan.
     """
-    space = build_lnk(n, k)
-    if tau.is_empty or not any(is_face(sigma, tau) for sigma, _ in space.cells):
-        raise TropicalGeometryError("tau is not a cell of the linear space")
     base = rewrite_diagonal(n, n - k)
     rep = DiagonalRepresentation(n, k, base.tuples, tau=tau)
     rep.verify()

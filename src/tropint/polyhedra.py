@@ -829,24 +829,6 @@ def facet_data(cells):
     return out
 
 
-def localize_complex(complex_, x):
-    """Star of a complex at a point, with the originating maximal cells.
-
-    Returns (star_complex, pairs) where pairs is a list of
-    (star cell, original maximal cell) used to transport cellwise data.
-    """
-    x = tuple(Fraction(v) for v in x)
-    pairs = []
-    for cell in complex_.maximal:
-        if not cell.contains_point(x):
-            continue
-        star = star_cell(cell, x)
-        pairs.append((star, cell))
-    if not pairs:
-        raise TropicalGeometryError("point lies outside the complex")
-    return Complex(complex_.ambient_dim, [p[0] for p in pairs]), pairs
-
-
 def star_cell(cell, x):
     """Cone of directions from x into the cell."""
     rays = list(cell.rays)

@@ -12,7 +12,14 @@ from tropint.formats import (
 )
 from tropint.functions import max_poly_function, ray_function
 from tropint.intersect import Morphism, identity_morphism
-from tropint.linspace import build_lnk, fnk_cycle, rewrite_diagonal, rn_cycle
+from tropint.linspace import (
+    build_lnk,
+    diagonal_product_form,
+    fnk_cycle,
+    rewrite_diagonal,
+    rn_cycle,
+    star_diagonal,
+)
 from tropint.polyhedra import (
     VerificationError,
     cone_from_generators,
@@ -86,6 +93,16 @@ def test_diagonal_roundtrip_and_reverify():
     assert back.n == 2 and back.space_dim == 1
     assert back.verified  # recorded flag survives
     back.verify()  # and the reconstruction satisfies the identity
+
+
+def test_star_representations_have_no_document():
+    # a document names no cell, so a star would come back as the whole space
+    rep = star_diagonal(3, 2, cone_from_generators(3, [(1, 1, 1)]))
+    with pytest.raises(FormatError, match="star"):
+        serialize(rep)
+    for rep in (rewrite_diagonal(3, 1), diagonal_product_form(2, 1)):
+        text = serialize(rep)
+        assert serialize(parse_document(text)) == text
 
 
 def test_parsed_bundle_is_checked_on_the_fan():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from operator import mul
 
 import pytest
@@ -40,6 +41,7 @@ from tropint.polyhedra import (
     diagonal_cycle,
     empty_cycle,
     is_balanced,
+    is_face,
     make_cell,
     make_cycle,
 )
@@ -645,6 +647,50 @@ def test_star_diagonal_at_ray_and_maximal():
 def test_star_diagonal_rejects_non_cells():
     with pytest.raises(TropicalGeometryError):
         star_diagonal(2, 1, cone_from_generators(2, [(1, 0)]))
+
+
+def test_dimensions_outside_zero_to_n_are_refused():
+    for k in (-1, 3, 5):
+        for build in (build_lnk, build_fnk, rewrite_diagonal):
+            with pytest.raises(TropicalGeometryError):
+                build(2, k)
+        # the symbol fan has no cones of that size, so the fan check of such
+        # a representation would pass vacuously
+        with pytest.raises(TropicalGeometryError):
+            DiagonalRepresentation(2, k, ((1, ()),))
+
+
+def test_star_representations_check_tau_once():
+    # every star representation, hand-built or not, checks that tau is a
+    # cell of L^n_c, without building one; is_face on the cells of L^n_c
+    # is the oracle
+    for n in (1, 2, 3):
+        rays = [neg_e(n, i) for i in range(n + 1)]
+        rays.append(tuple(-x for x in rays[1]))  # e_1, no ray of L^n_c
+        taus = [
+            cone_from_generators(n, sub)
+            for size in range(len(rays) + 1)
+            for sub in combinations(rays, size)
+        ]
+        taus.append(make_cell(n, vertices=[(1,) * n]))
+        for c in range(n + 1):
+            cells = build_lnk(n, c).cells
+            for tau in taus:
+                try:
+                    rep = DiagonalRepresentation(n, c, (), tau=tau)
+                except TropicalGeometryError as err:
+                    assert "not a cell" in str(err)
+                    rep = None
+                want = any(is_face(sigma, tau) for sigma, _ in cells)
+                assert (rep is not None) == want, (n, c, tau)
+    tuples = rewrite_diagonal(2, 1).tuples
+    for tau in (make_cell(2), make_cell(3, vertices=[(0, 0, 0)])):
+        with pytest.raises(TropicalGeometryError, match="not a cell"):
+            DiagonalRepresentation(2, 1, tuples, tau=tau)
+    rep = DiagonalRepresentation(2, 1, tuples, tau=cone_from_generators(2, [(1, 1)]))
+    assert rep.verify()
+    ((cell, w),) = rep.space.cells
+    assert w == 1 and cell.lineality == ((1, 1),)
 
 
 def test_rn_cycle_balanced_and_full():

@@ -276,6 +276,29 @@ def test_is_face():
     assert not is_face(sq, sub)
 
 
+def test_the_empty_cell_is_a_face_of_every_cell():
+    empty = make_cell(2)
+    sq = make_cell(2, vertices=[(0, 0), (1, 0), (0, 1), (1, 1)])
+    corner = make_cell(2, vertices=[(1, 1)])
+    assert empty.is_empty
+    for cell in (sq, corner, empty):
+        assert cell.contains_cell(empty)
+        assert is_face(cell, empty)
+    assert not empty.contains_cell(sq)
+    assert not empty.contains_cell(corner)
+
+
+def test_empty_cells_and_cycles_meet_and_cross_to_empty():
+    empty = make_cell(2)
+    sq = make_cell(2, vertices=[(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert intersect_cells(sq, empty) is empty
+    assert intersect_cells(empty, sq) is empty
+    line = make_cycle(1, 1, [(make_cell(1, vertices=[(0,), (1,)]), 2)])
+    for x, y in ((line, empty_cycle(2)), (empty_cycle(2), line)):
+        got = cross(x, y)
+        assert got.is_empty and got.ambient_dim == 3
+
+
 def test_lattice_normals():
     quad = cone_from_generators(2, [(1, 0), (0, 1)])
     xaxis = cone_from_generators(2, [(1, 0)])
