@@ -15,14 +15,14 @@ representation, stars included, is verified exactly on the fan F^n_n:
 [L^n_m x L^n_m] refined along F^n_n is the weight-one subfan F^n_m, every
 factor is a ray function on F^n_n, and F^n_n is unimodular, so the
 divisors are computed with integers alone, on cones given as bitmasks of
-their symbols.  The rays are expanded in the basis of a maximal cone in
-closed form, from D_i = T_i + B_i and sum T_i = sum B_i = 0, with no
-elimination.  The tuples are applied along the factor tree of the
-geometric chain (`functions._plan`): shared prefixes are divided once,
-and sibling last factors are summed by linearity.  The star at a cell
-tau = cone{-e_i : i in I} is the star of that subfan at the cone
-{D_i : i in I}, since divisors commute with taking stars.  Applying the
-PL functions geometrically, as intersection contexts do
+their symbols.  The normal sum at each face is solved for the face's
+rays one index i = 0..n at a time, in the homogeneous coordinates of the
+symbol rays, with no elimination.  The tuples are applied along the
+factor tree of the geometric chain (`functions._plan`): shared prefixes
+are divided once, and sibling last factors are summed by linearity.  The
+star at a cell tau = cone{-e_i : i in I} is the star of that subfan at
+the cone {D_i : i in I}, since divisors commute with taking stars.
+Applying the PL functions geometrically, as intersection contexts do
 (`AmbientContext.verify`), is the test oracle for this check.
 
 Intersection contexts apply the tuples as ray functions on F^n_m itself
@@ -299,23 +299,33 @@ class _SymbolFan:
     where sum_sigma w_sigma r_s = sum_rho a_rho r_rho over the rays rho of
     tau.  That weight is linear in phi, so `faces` turns a subfan into one
     integer form on the ray values per face, and `divisor` evaluates the
-    forms for any phi.  The normal sum is expanded in the basis of a
-    maximal cone of F^n_n containing tau (its host): the rays are expanded
-    there once per host, in closed form from D_i = T_i + B_i and
-    sum T_i = sum B_i = 0, and the expansions are added; a sum with a
-    coordinate outside tau means the subfan is not balanced.  The
-    expansions are kept, sparse, for the lifetime of the instance.  On
-    the star of a subfan at a cone, whose span is then lineality, only
+    forms for any phi.
+
+    The normal sum is solved for directly, one index at a time.  Written
+    as (U | V) in Z^{n+1} x Z^{n+1}, modulo the all-ones vector in each
+    half, T_i = (-e_i | 0), B_i = (0 | -e_i) and D_i = (-e_i | -e_i), so
+    the coefficients of tau's rays satisfy t_i + d_i = lambda - U_i and
+    b_i + d_i = mu - V_i for some integers lambda and mu, with t_i, b_i
+    and d_i zero where tau lacks that ray.  At the least index x (y) where
+    tau has no T (B) ray and no D ray the left side vanishes, so
+    lambda = U_x and mu = V_y.  Every other index then fixes its
+    coefficients: d_i is the B side with T_i, else the T side, and the
+    rest goes to T_i and B_i.  A coefficient left on a ray that tau lacks
+    means the subfan is not balanced.  A cone of F^n_n has such x and y
+    and no index with both T_i and B_i.  Indices where U and V equal
+    lambda and mu take no ray, so only those the normals reach are
+    visited when both are zero.
+
+    On the star of a subfan at a cone, whose span is then lineality, only
     the facets containing that cone count.
     """
 
-    __slots__ = ("n", "symbols", "index", "_bases")
+    __slots__ = ("n", "symbols", "index")
 
     def __init__(self, n):
         self.n = n
         self.symbols = _symbols(n)
         self.index = {sym: j for j, sym in enumerate(self.symbols)}
-        self._bases = {}
 
     def mask(self, symbols):
         """The cone on the rays of some symbols."""
@@ -332,34 +342,6 @@ class _SymbolFan:
             out[self.index[sym]] += c
         return tuple(out)
 
-    def _basis(self, tau):
-        """Every ray expanded in the basis of the host of the cone tau, as
-        (ray, coefficient) pairs in ray order.
-
-        The host is the cone of F^n_n for the n-subsets I' = {0..n} - {x}
-        and J' = {0..n} - {y}, where x (y) is the least index at which tau
-        has no T (B) ray and no D ray; at each i in both subsets it has
-        B_i and D_i if tau has B_i, else T_i and D_i.
-        """
-        m = self.n + 1
-        low = (1 << m) - 1
-        ts, bs, ds = tau & low, tau >> m & low, tau >> 2 * m
-        x = ~(ts | ds) & low
-        x &= -x
-        y = ~(bs | ds) & low
-        y &= -y
-        both = low & ~x & ~y
-        host = both << 2 * m | (both & bs) << m | both & ~bs
-        if x != y:
-            host |= y | x << m
-        if not (x and y) or host & tau != tau:
-            raise TropicalGeometryError("not a cone of F^%d_%d" % (self.n, self.n))
-        got = self._bases.get(host)
-        if got is None:
-            got = _host_expansions(m, x.bit_length() - 1, y.bit_length() - 1, bs)
-            self._bases[host] = got
-        return got
-
     def faces(self, cones, fixed=0):
         """The faces tau of a weighted subfan with their divisor forms.
 
@@ -368,6 +350,8 @@ class _SymbolFan:
         containing the cone `fixed`, which every cone contains, count.
         Raises VerificationError when the subfan is not balanced.
         """
+        m = self.n + 1
+        low = (1 << m) - 1
         around = {}  # tau -> (s, w_sigma, s', w_sigma', ...), flat
         for sigma, w in cones.items():
             free = sigma & ~fixed
@@ -378,25 +362,44 @@ class _SymbolFan:
                 around[tau] = around.get(tau, ()) + (bit.bit_length() - 1, w)
         out = []
         for tau, normals in around.items():
-            rhos, coeffs = normals[::2], normals[1::2]
-            basis = self._basis(tau)
-            total = {}
+            ts, bs, ds = tau & low, tau >> m & low, tau >> 2 * m
+            x = ~(ts | ds) & low
+            y = ~(bs | ds) & low
+            if ts & bs or not (x and y):
+                raise TropicalGeometryError("not a cone of F^%d_%d" % (self.n, self.n))
+            rhos, coeffs = list(normals[::2]), list(normals[1::2])
+            u, v = {}, {}  # the sum as (U | V), sparse
             for s, w in zip(rhos, coeffs):
-                for j, a in basis[s]:
-                    total[j] = total.get(j, 0) + w * a
-            rhos, coeffs = list(rhos), list(coeffs)
-            for j, a in total.items():
-                if a:
-                    if not tau >> j & 1:
-                        names = sorted(
-                            sym for i, sym in enumerate(self.symbols) if tau >> i & 1
-                        )
-                        raise VerificationError(
-                            "weighted subfan of F^%d_%d is not balanced around {%s}"
-                            % (self.n, self.n, ", ".join(map(symbol_name, names)))
-                        )
-                    rhos.append(j)
-                    coeffs.append(-a)
+                kind, i = divmod(s, m)
+                if kind != 1:
+                    u[i] = u.get(i, 0) - w
+                if kind:
+                    v[i] = v.get(i, 0) - w
+            lam = u.get((x & -x).bit_length() - 1, 0)
+            mu = v.get((y & -y).bit_length() - 1, 0)
+            for i in range(m) if lam or mu else u.keys() | v.keys():
+                p, q = lam - u.get(i, 0), mu - v.get(i, 0)
+                if ds >> i & 1:
+                    d = q if ts >> i & 1 else p
+                    if d:
+                        rhos.append(2 * m + i)
+                        coeffs.append(-d)
+                        p -= d
+                        q -= d
+                if p and not ts >> i & 1 or q and not bs >> i & 1:
+                    names = sorted(
+                        sym for j, sym in enumerate(self.symbols) if tau >> j & 1
+                    )
+                    raise VerificationError(
+                        "weighted subfan of F^%d_%d is not balanced around {%s}"
+                        % (self.n, self.n, ", ".join(map(symbol_name, names)))
+                    )
+                if p:
+                    rhos.append(i)
+                    coeffs.append(-p)
+                if q:
+                    rhos.append(m + i)
+                    coeffs.append(-q)
             out.append((tau, tuple(rhos), tuple(coeffs)))
         return out
 
@@ -446,42 +449,6 @@ class _SymbolFan:
         terms = [(alpha, tuple(map(self.values, combos))) for alpha, combos in tuples]
         walk(cones, _plan(terms, _sum_values))
         return {tau: w for tau, w in got.items() if w}
-
-
-def _host_expansions(m, x, y, bmask):
-    """The rays T_0..T_n, B_0..B_n, D_0..D_n expanded in the host basis
-    that `_SymbolFan._basis` describes, as sorted (ray, coefficient) pairs.
-
-    At each i other than x and y the host has D_i and one of B_i (when bit
-    i of `bmask` is set) or T_i, and the other is D_i minus it.  For
-    x != y it also has T_y and B_x.  Then T_x = -sum_{i != x} T_i,
-    B_y = -sum_{i != y} B_i, and D_x, D_y are T + B.
-    """
-    t, b = [None] * m, [None] * m
-    for i in range(m):
-        if i == x or i == y:
-            continue
-        if bmask >> i & 1:
-            t[i], b[i] = {2 * m + i: 1, m + i: -1}, {m + i: 1}
-        else:
-            t[i], b[i] = {i: 1}, {2 * m + i: 1, i: -1}
-    if x != y:
-        t[y], b[x] = {y: 1}, {m + x: 1}
-    t[x] = _combine((-1, e) for i, e in enumerate(t) if i != x)
-    b[y] = _combine((-1, e) for i, e in enumerate(b) if i != y)
-    d = [{2 * m + i: 1} for i in range(m)]
-    for i in {x, y}:
-        d[i] = _combine(((1, t[i]), (1, b[i])))
-    return [tuple(sorted((j, a) for j, a in e.items() if a)) for e in t + b + d]
-
-
-def _combine(terms):
-    """sum c e over (c, e) pairs of sparse expansions."""
-    total = {}
-    for c, e in terms:
-        for j, a in e.items():
-            total[j] = total.get(j, 0) + c * a
-    return total
 
 
 def _sum_values(pairs):
@@ -677,20 +644,17 @@ def relations_check(n, m, c_cycle, which, vs=(), s=0):
     which = 'b': v_1 ... v_{m+r} . (C x R^n), r > 0 distinct v's from
                  {T_1, ..., T_n, D}
     which = 'c': B . D^s . v_1 ... v_{m-s+r} . (C x R^n), r, s > 0
-    Returns True iff the product is the empty cycle.  A cycle C whose
-    support leaves L^n_m raises TropicalGeometryError.
+    Returns True iff the product is the empty cycle.  Parameters outside
+    these cases, and a cycle C whose support leaves L^n_m, raise
+    TropicalGeometryError, also when C is empty.
     """
+    if not 0 <= m <= n:
+        raise TropicalGeometryError("need 0 <= m <= n")
     vs = tuple(tuple(v) for v in vs)
     allowed = {("T", i) for i in range(1, n + 1)} | {("D", 0)}
     if which in ("b", "c"):
         if len(set(vs)) != len(vs) or not set(vs) <= allowed:
             raise TropicalGeometryError("v's must be distinct T_1..T_n or D")
-    if c_cycle.is_empty:
-        return True
-    if not 0 <= m <= n:
-        raise TropicalGeometryError("need 0 <= m <= n")
-    if not support_covers(c_cycle, build_lnk(n, m)):
-        raise TropicalGeometryError("cycle does not lie in L^%d_%d" % (n, m))
     if which == "a":
         factors = [{("T", 0): 1}, {("B", 0): 1}]
     elif which == "b":
@@ -705,6 +669,10 @@ def relations_check(n, m, c_cycle, which, vs=(), s=0):
         factors = [{("B", 0): 1}] + [{("D", 0): 1}] * s + [{v: 1} for v in vs]
     else:
         raise TropicalGeometryError("relation must be one of 'a', 'b', 'c'")
+    if c_cycle.is_empty:
+        return True
+    if not support_covers(c_cycle, build_lnk(n, m)):
+        raise TropicalGeometryError("cycle does not lie in L^%d_%d" % (n, m))
     expr = _symbol_expression(n, ((1, factors),))
     return expr.apply(cross(c_cycle, rn_cycle(n))).is_empty
 

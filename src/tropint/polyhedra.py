@@ -478,11 +478,12 @@ def _build_from_hom(
     returns only extreme ones, and a product pairs its factors'), so they
     are only reduced modulo the lineality.
 
-    `eqs`, `plin` and `lattice`, when given, are the HNF bases of the span
-    equations, the lineality and the direction lattice of the cell.  The
-    build otherwise computes the first two as the integer kernels of
-    hgens + hlin and of facets + eqs, and `Cell.direction_lattice` the
-    third on first use; a memo hit still without a lattice takes it.  The
+    `eqs` and `plin`, when given, are the HNF bases of the span equations
+    and the lineality of the cell, and `lattice` a callable returning the
+    HNF basis of its direction lattice, run only when the cell built or
+    found has none.  The build otherwise computes the first two as the
+    integer kernels of hgens + hlin and of facets + eqs, and
+    `Cell.direction_lattice` the third on first use.  The
     bases are canonical, so a cell with the span or the lineality of a
     known cell takes that cell's.  `cut_cell_by_hom_forms` passes the
     cell's equations and lattice when `_cut` reports that the span was
@@ -511,8 +512,8 @@ def _build_from_hom(
     memo_key = (ambient_dim, frozenset(hgens), frozenset(hlin))
     got = _BUILD_MEMO.get(memo_key)
     if got is not None:
-        if got._dirlat is None:
-            got._dirlat = lattice
+        if got._dirlat is None and lattice is not None:
+            got._dirlat = lattice()
         return got
     if eqs is None:
         eqs = integer_kernel(hgens + hlin, n1)
@@ -552,8 +553,8 @@ def _build_from_hom(
         plin,
     )
     cell = _intern(cell)
-    if cell._dirlat is None:
-        cell._dirlat = lattice
+    if cell._dirlat is None and lattice is not None:
+        cell._dirlat = lattice()
     _BUILD_MEMO[memo_key] = cell
     return cell
 
@@ -635,7 +636,7 @@ def cut_cell_by_hom_forms(cell, ineqs, eqs=()):
         lambda: cell.hom_facets + ineqs,
         eqs=cell.hom_eqs if kept else None,
         plin=lin if len(lin) == len(cell_lin) else None,
-        lattice=cell.direction_lattice() if kept else None,
+        lattice=cell.direction_lattice if kept else None,
     )
 
 
@@ -676,11 +677,15 @@ def cross_cells(a, b):
             za + f for f in b.hom_facets
         ]
 
-    lat = tuple(l + pad for l in a.direction_lattice()) + tuple(
-        za + l for l in b.direction_lattice()
-    )
+    def lattice():
+        return tuple(l + pad for l in a.direction_lattice()) + tuple(
+            za + l for l in b.direction_lattice()
+        )
+
     dim = a.ambient_dim + b.ambient_dim
-    return _build_from_hom(dim, tuple(hgens), hlin, candidates, plin=hlin, lattice=lat)
+    return _build_from_hom(
+        dim, tuple(hgens), hlin, candidates, plin=hlin, lattice=lattice
+    )
 
 
 def is_face(cell, face):

@@ -46,9 +46,9 @@ def lattice_kernel(cell):
 @pytest.fixture
 def known_checked(monkeypatch):
     """Recompute the kernels for every build given `eqs`, `plin` or
-    `lattice` and assert they are equal; check every lattice read off one
-    generator too.  Returns a Counter of the builds checked, by what they
-    were given."""
+    `lattice` (a callable, called here) and assert they are equal; check
+    every lattice read off one generator too.  Returns a Counter of the
+    builds checked, by what they were given."""
     build, read = polyhedra._build_from_hom, polyhedra.Cell.direction_lattice
     checked = Counter()
 
@@ -68,7 +68,7 @@ def known_checked(monkeypatch):
                 assert plin == integer_kernel(cell.hom_facets + cell.hom_eqs, n1)
                 checked["plin"] += 1
             if lattice is not None:
-                assert lattice == cell._dirlat == lattice_kernel(cell)
+                assert lattice() == cell._dirlat == lattice_kernel(cell)
                 checked["lattice"] += 1
         return cell
 
@@ -245,3 +245,28 @@ def test_products_with_the_point_r0_keep_the_other_factors_lattice(known_checked
     for x in (cross(l32, rn_cycle(0)), cross(rn_cycle(0), l32)):
         assert is_balanced(x) and cycles_equal(x, l32)
     assert known_checked["lattice"] >= 2 * len(l32.cells)
+
+
+def test_a_build_memo_hit_reads_no_lattice(monkeypatch):
+    """Products and kept cuts hand `_build_from_hom` their lattice as a
+    callable: a memo hit on a cell that knows its lattice never runs it."""
+    a = make_cell(2, [(0, 0)], [(2, 1), (0, 1)])
+    b = make_cell(1, [(F(1, 2),)], [(1,)])
+    form = ((-1, 0, 1),)  # x <= 1 keeps the span of a
+    first = cross_cells(a, b), cut_cell_by_hom_forms(a, form)
+    for cell in first:
+        cell.direction_lattice()
+    build, asked = polyhedra._build_from_hom, []
+
+    def spying(*args, lattice=None, **kwargs):
+        def counted():
+            asked.append(args)
+            return lattice()
+
+        return build(*args, lattice=None if lattice is None else counted, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "_build_from_hom", spying)
+    assert (cross_cells(a, b), cut_cell_by_hom_forms(a, form)) == first
+    assert not asked
+    polyhedra.clear_caches()
+    assert (cross_cells(a, b), cut_cell_by_hom_forms(a, form)) == first

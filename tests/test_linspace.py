@@ -273,14 +273,14 @@ def test_fan_divisor_rejects_unbalanced_subfans():
             _fan_divisor(fan, combo, local, fixed)
     # the whole cone fixed: no facet counts, and the star is a point
     assert _fan_divisor(fan, combo, {lone: 1}, lone) == {}
-    # a facet holding both T_1 and B_1 is no cone of F^2_2 and has no host
+    # a facet holding both T_1 and B_1 is no cone of F^2_2
     with pytest.raises(TropicalGeometryError):
         fan.faces({fan.mask([("T", 0), ("T", 1), ("B", 1)]): 1})
 
 
 def _hnf_expansions(fan, host):
     """Every ray expanded in the basis of the cone `host` through one
-    unimodular integer inverse: the reference for `_SymbolFan._basis`."""
+    unimodular integer inverse: the reference for `_SymbolFan.faces`."""
     rays = [symbol_ray(fan.n, sym) for sym in fan.symbols]
     js = [j for j in range(len(rays)) if host >> j & 1]
     _, u = hnf([rays[j] for j in js])
@@ -308,22 +308,47 @@ def _faces(cones):
     return out
 
 
-def test_closed_form_host_expansions_match_the_integer_inverse():
-    # on every face of F^n_n for n <= 4, and on every maximal cone of F^5_5
-    # and F^6_6 (each is its own host), the expansions are those in the
-    # basis of a maximal cone holding the face
-    for n in range(1, 7):
+def test_face_solve_matches_the_integer_inverse():
+    # on every face tau of F^n_n for n <= 4: seeded normals off a maximal
+    # cone holding tau, plus rays of that cone off tau that cancel the
+    # sum's coordinates there, so the sum lies in span tau; its coefficients
+    # are those of the integer inverse of that cone
+    rng = random.Random(26)
+    for n in range(1, 5):
         fan = _SymbolFan(n)
-        hosts = _symbol_cones(n, n)
-        want = {}
-        for tau in _faces(hosts) if n <= 4 else hosts:
-            got = fan._basis(tau)
-            host = sum(1 << j for j, e in enumerate(got) if e == ((j, 1),))
-            assert host in hosts and host & tau == tau, (n, tau)
-            if host not in want:
-                want[host] = _hnf_expansions(fan, host)
-            assert got == want[host], (n, tau)
-        assert len(want) == len(hosts)
+        hosts = sorted(_symbol_cones(n, n))
+        inverses = {}
+        for tau in sorted(_faces(hosts)):
+            host = next(h for h in hosts if h & tau == tau)
+            if host not in inverses:
+                inverses[host] = _hnf_expansions(fan, host)
+            basis = inverses[host]
+            outside = [s for s in range(len(basis)) if not host >> s & 1]
+            normals = {s: rng.choice((-2, -1, 1, 2, 3)) for s in rng.sample(outside, 3)}
+            total = {}
+            for s, w in normals.items():
+                for j, a in basis[s]:
+                    total[j] = total.get(j, 0) + w * a
+            for j, a in total.items():
+                if a and not tau >> j & 1:
+                    normals[j] = -a
+            want = dict(normals)
+            want.update((j, -a) for j, a in total.items() if a and tau >> j & 1)
+            cones = {tau | 1 << s: w for s, w in normals.items()}
+            ((got_tau, rays, coeffs),) = fan.faces(cones, tau)
+            assert got_tau == tau and dict(zip(rays, coeffs)) == want, (n, tau)
+            assert len(rays) == len(want)
+
+            # a sum leaving span tau: one more ray of the host, around tau
+            # alone or around every facet of a lone cone
+            off = host & ~tau
+            if off:
+                h = off & -off
+                cones[tau | h] = cones.get(tau | h, 0) + 1
+                with pytest.raises(VerificationError):
+                    fan.faces(cones, tau)
+                with pytest.raises(VerificationError):
+                    fan.faces({tau | h: 1})
 
 
 def _random_tuples(rng, fan, depth):
@@ -613,6 +638,17 @@ def test_relations_parameter_validation():
         relations_check(3, 1, l31, "d")
     with pytest.raises(TropicalGeometryError):
         relations_check(3, 1, l31, "b", vs=[("B", 1), ("T", 1)])
+
+
+def test_relations_validate_parameters_before_the_empty_cycle():
+    empty = empty_cycle(3)
+    with pytest.raises(TropicalGeometryError):
+        relations_check(3, 7, empty, "a")
+    with pytest.raises(TropicalGeometryError):
+        relations_check(3, 1, empty, "q")
+    with pytest.raises(TropicalGeometryError):
+        relations_check(3, 1, empty, "c", vs=[("T", 1)], s=0)
+    assert relations_check(3, 1, empty, "a")
 
 
 def test_star_diagonal_origin_matches_base():
