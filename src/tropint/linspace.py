@@ -348,7 +348,10 @@ class _SymbolFan:
         Returns (tau, rays, coefficients) triples: the weight of tau in the
         divisor of phi is the sum of coefficient * phi(ray).  Only facets
         containing the cone `fixed`, which every cone contains, count.
-        Raises VerificationError when the subfan is not balanced.
+        Raises TropicalGeometryError when a face is no cone of F^n_n, and
+        otherwise VerificationError when the subfan is not balanced: an
+        unbalanced face is refused only after every face has been checked,
+        so the error does not depend on the order of the faces.
         """
         m = self.n + 1
         low = (1 << m) - 1
@@ -361,6 +364,7 @@ class _SymbolFan:
                 tau = sigma ^ bit
                 around[tau] = around.get(tau, ()) + (bit.bit_length() - 1, w)
         out = []
+        unbalanced = []  # refused once every face is known to be a cone
         for tau, normals in around.items():
             ts, bs, ds = tau & low, tau >> m & low, tau >> 2 * m
             x = ~(ts | ds) & low
@@ -387,13 +391,8 @@ class _SymbolFan:
                         p -= d
                         q -= d
                 if p and not ts >> i & 1 or q and not bs >> i & 1:
-                    names = sorted(
-                        sym for j, sym in enumerate(self.symbols) if tau >> j & 1
-                    )
-                    raise VerificationError(
-                        "weighted subfan of F^%d_%d is not balanced around {%s}"
-                        % (self.n, self.n, ", ".join(map(symbol_name, names)))
-                    )
+                    unbalanced.append(tau)
+                    break
                 if p:
                     rhos.append(i)
                     coeffs.append(-p)
@@ -401,6 +400,14 @@ class _SymbolFan:
                     rhos.append(m + i)
                     coeffs.append(-q)
             out.append((tau, tuple(rhos), tuple(coeffs)))
+        if unbalanced:
+            names = sorted(
+                sym for j, sym in enumerate(self.symbols) if unbalanced[0] >> j & 1
+            )
+            raise VerificationError(
+                "weighted subfan of F^%d_%d is not balanced around {%s}"
+                % (self.n, self.n, ", ".join(map(symbol_name, names)))
+            )
         return out
 
     @staticmethod

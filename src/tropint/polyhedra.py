@@ -37,15 +37,18 @@ read covectors without locating points.  A refinement signs each cell
 against the carrier's distinct hyperplanes once, summing over their
 nonzero entries only, and intersects it only with the carrier cells whose
 facet and equation sides it can meet in full dimension, so cells that
-meet in a lower-dimensional face never reach the intersection memo.  Each
-piece is cut once: since the carrier is a complex, a carrier cell that
-holds a relative interior point of a piece already found meets the cell
-in exactly that piece, so it takes the piece without a cut, tested by its
-facets and equations at that point.  The cover check that follows works
+meet in a lower-dimensional face are never cut.  Each piece is cut once:
+since the carrier is a complex, a carrier cell that holds a relative
+interior point of a piece already found meets the cell in exactly that
+piece, so it takes the piece without a cut, tested by its facets and
+equations at that point.  The cover check that follows works
 on facet forms: a facet of a single piece is on the boundary iff its
 inequality is one of the cell's own.  This refinement is the one answer
 to "does this lie in that?": `add_functions` asks it directly, and
 products, pull-backs and relation checks ask it through `support_covers`.
+The refinement memo keeps the hosts of each cell's pieces per (cell key,
+carrier cells), so a cell refined again along the same carrier is cut
+only by those hosts, with no side test and no cover check.
 
 Products of cells are built from the factors' homogeneous generators, so
 a product found in the build memo costs no Fraction arithmetic.  A cell
@@ -236,7 +239,7 @@ def _module_cache():
 
 
 _CELL_POOL = WeakValueDictionary()  # Cell.key() -> the live cell; not a cache
-_INTERSECT_MEMO = _module_cache()
+_REFINE_MEMO = _module_cache()
 _NORMAL_MEMO = _module_cache()
 _BUILD_MEMO = _module_cache()
 
@@ -606,18 +609,15 @@ def cone_from_generators(ambient_dim, rays, lineality=()):
 
 
 def intersect_cells(a, b):
-    """Exact intersection of two cells in the same ambient space."""
+    """Exact intersection of two cells in the same ambient space: a cut
+    by the facets and equations of b.  Nothing is remembered here; a
+    refinement remembers the hosts of its pieces (`_refine`), and cells
+    are unique, so cutting again gives the same cell object."""
     if a.ambient_dim != b.ambient_dim:
         raise TropicalGeometryError("ambient dimension mismatch")
     if a.is_empty or b.is_empty:
         return _empty_cell(a.ambient_dim)
-    memo_key = (a, b)
-    got = _INTERSECT_MEMO.get(memo_key)
-    if got is not None:
-        return got
-    out = cut_cell_by_hom_forms(a, b.hom_facets, b.hom_eqs)
-    _INTERSECT_MEMO[memo_key] = out
-    return out
+    return cut_cell_by_hom_forms(a, b.hom_facets, b.hom_eqs)
 
 
 def cut_cell_by_hom_forms(cell, ineqs, eqs=()):
@@ -1064,9 +1064,36 @@ def _refine(x, carrier):
 
     Returns (cycle, origin) where origin maps every cell of the cycle to a
     maximal carrier cell containing it, the first one for a cell of x that
-    lies in a carrier cell.  Every cell of x is met with every carrier cell
-    except those that lie on a side of one of their hyperplanes which that
-    cell meets in less than its dimension.
+    lies in a carrier cell.  The refinement memo keeps, per (cell key,
+    carrier cells), the host of each piece of the cell in the order the
+    pieces were found (`_pieces`).  On a hit a single host means the cell
+    is its own piece, and several are each cut again: a piece is the cell
+    cut by its first host, and cells are unique, so the cut gives the same
+    object.  A hit runs no side test, no scan of the carrier and no
+    `check_cover`; the cover was checked when the hosts were stored.
+    """
+    origin = {}
+    items = []
+    for sigma, w in x.cells:
+        key = (sigma.key(), carrier.maximal)
+        hosts = _REFINE_MEMO.get(key)
+        if hosts is None:
+            pieces = _pieces(sigma, carrier)
+            _REFINE_MEMO[key] = tuple(pieces.values())
+        elif len(hosts) == 1:
+            pieces = {sigma: hosts[0]}
+        else:
+            pieces = {intersect_cells(sigma, c): c for c in hosts}
+        origin.update(pieces)
+        items.extend((piece, w) for piece in pieces)
+    return make_cycle(x.ambient_dim, x.dim, items), origin
+
+
+def _pieces(sigma, carrier):
+    """The pieces of the cell sigma along a complex covering it, each
+    mapped to its first host in `carrier.maximal` order, checked to tile
+    sigma.  Every carrier cell is met except those that lie on a side of
+    one of their hyperplanes which sigma meets in less than its dimension.
 
     Each piece is cut once, since the carrier is a complex.  Let
     p = sigma & c' be a piece already found, of sigma's dimension, and r a
@@ -1075,37 +1102,29 @@ def _refine(x, carrier):
     sigma & c = p: for q in sigma & c, the segment from q through r goes on
     inside p, because p has sigma's dimension, so r lies inside a segment
     of c; the face c & c' of c holds r, hence the whole segment and q, and
-    q is in sigma & c' = p.  So on a memo miss, c is first tested against
-    the pieces found (`c._holds(r)`, with r the sum of the piece's
-    homogeneous generators), and one that holds a piece gets it in the
-    intersection memo, as a cut would have put it there, and is not cut.
+    q is in sigma & c' = p.  So c is first tested against the pieces found
+    (`c._holds(r)`, with r the sum of the piece's homogeneous generators),
+    and one that holds a piece meets sigma in it and is not cut.
     """
-    origin = {}
-    items = []
     forms, needs = carrier._side_needs()
-    for sigma, w in x.cells:
-        missed = _missed_sides(sigma, forms)
-        pieces = {}
-        inner = {}
-        for c, need in zip(carrier.maximal, needs):
-            if not missed.isdisjoint(need):
-                continue
-            piece = _INTERSECT_MEMO.get((sigma, c))
-            if piece is None:
-                for p in pieces:
-                    if p not in inner:
-                        inner[p] = _interior(p)
-                    if c._holds(inner[p]):
-                        piece = _INTERSECT_MEMO[sigma, c] = p
-                        break
-                else:
-                    piece = intersect_cells(sigma, c)
-            if not piece.is_empty and piece.dim == sigma.dim:
-                pieces.setdefault(piece, c)
-        check_cover(sigma, list(pieces))
-        origin.update(pieces)
-        items.extend((piece, w) for piece in pieces)
-    return make_cycle(x.ambient_dim, x.dim, items), origin
+    missed = _missed_sides(sigma, forms)
+    pieces = {}
+    inner = {}
+    for c, need in zip(carrier.maximal, needs):
+        if not missed.isdisjoint(need):
+            continue
+        for p in pieces:
+            if p not in inner:
+                inner[p] = _interior(p)
+            if c._holds(inner[p]):
+                piece = p
+                break
+        else:
+            piece = intersect_cells(sigma, c)
+        if not piece.is_empty and piece.dim == sigma.dim:
+            pieces.setdefault(piece, c)
+    check_cover(sigma, list(pieces))
+    return pieces
 
 
 def common_refinement(x, carrier):

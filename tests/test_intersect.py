@@ -494,7 +494,7 @@ def test_unverified_context_is_checked_before_use():
 
 def test_clear_caches_empties_every_module_cache():
     caches = [
-        polyhedra._INTERSECT_MEMO,
+        polyhedra._REFINE_MEMO,
         polyhedra._NORMAL_MEMO,
         polyhedra._BUILD_MEMO,
         linspace._LNK_CACHE,
@@ -569,6 +569,34 @@ def test_bounded_caches_give_identical_bytes(monkeypatch, capsys):
     monkeypatch.setattr(polyhedra, "_CACHE_LIMIT", 3)
     assert outputs() == want
     assert all(len(cache) <= 3 for cache in polyhedra._CACHES)
+
+
+def test_repeated_products_and_pullbacks_reuse_their_refinements(monkeypatch):
+    """A product or pull-back run again gives the same bytes, and every
+    refinement it makes, the support checks included, is a memo hit: no
+    cell is signed against a carrier's hyperplanes again."""
+    sides = []
+    real = polyhedra._missed_sides
+    monkeypatch.setattr(
+        polyhedra, "_missed_sides", lambda *args: sides.append(1) or real(*args)
+    )
+    rng = random.Random(31)
+    c, d = _seeded_fan_curve(rng), _seeded_fan_curve(rng)
+    ctx = linear_space_context(3, 2)
+    l21 = linear_space_context(2, 1)
+    p2 = projection_morphism([2, 2], 1)
+    square = product_context(l21, l21)
+    runs = {
+        "product": lambda: intersect_cycles(c, d, ctx),
+        "pull-back": lambda: pullback_cycle(p2, point((-2, 0), 3), square, l21),
+    }
+    for name, run in runs.items():
+        del sides[:]
+        first = serialize(run())
+        assert sides, name
+        del sides[:]
+        assert serialize(run()) == first, name
+        assert not sides, name
 
 
 def test_star_context_products():

@@ -1392,23 +1392,30 @@ def _refinement_cases():
     }
 
 
-def test_refine_matches_the_reference_loop():
-    """Same cycle, same origins (hosts in the same order) and the same
-    intersection memo as the loop that cuts every kept carrier cell, from
-    empty caches."""
+def test_refine_matches_the_reference_loop(monkeypatch):
+    """Same cycle and same origins (hosts in the same order) as the loop
+    that cuts every kept carrier cell, from empty caches.  Refined again,
+    the memo answers: the same cells and origin, with no side test."""
+    sides = []
+    real = polyhedra._missed_sides
+    monkeypatch.setattr(
+        polyhedra, "_missed_sides", lambda *args: sides.append(1) or real(*args)
+    )
     for name, run in _refinement_cases().items():
-        cuts = 0
-        for x, carrier in _refinements_of(run):
+        refinements = _refinements_of(run)
+        assert refinements, name
+        for x, carrier in refinements:
             clear_caches()
             want, want_origin = _reference_refine(x, carrier)
-            want_memo = list(polyhedra._INTERSECT_MEMO.items())
             clear_caches()
             got, got_origin = _refine(x, carrier)
             assert got.cells == want.cells, name
             assert list(got_origin.items()) == list(want_origin.items()), name
-            assert list(polyhedra._INTERSECT_MEMO.items()) == want_memo, name
-            cuts += len(want_memo)
-        assert cuts, name
+            del sides[:]
+            again, again_origin = _refine(x, carrier)
+            assert not sides, name
+            assert again.cells == got.cells, name
+            assert list(again_origin.items()) == list(got_origin.items()), name
 
 
 def test_refine_keeps_cycles_that_lie_in_their_carrier():
