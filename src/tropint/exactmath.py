@@ -73,15 +73,22 @@ def _pivot_col(row):
 
 
 def clear_denominators(v):
-    """Return (w, d) with w an integer vector, d > 0 and w == d*v."""
+    """Return (w, d) with w an integer vector, d > 0 and w == d*v.
+
+    An entry that is neither an int nor a Fraction is read exactly with
+    Fraction() first, never truncated."""
     if all(type(x) is int for x in v):
         return tuple(v), 1
     d = 1
+    exact = []
     for x in v:
-        if isinstance(x, Fraction):
+        if type(x) is not int:
+            if not isinstance(x, Fraction):
+                x = Fraction(x)
             den = x.denominator
             d = d * den // gcd(d, den)
-    return tuple(int(x * d) for x in v), d
+        exact.append(x)
+    return tuple(int(x * d) for x in exact), d
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .polyhedra import (
     VerificationError,
     _integers,
     _module_cache,
+    _rationals,
     cross,
     cycles_equal,
     diagonal_cycle,
@@ -58,7 +59,7 @@ class Morphism:
         self.target_dim = len(self.matrix)
         if translation is None:
             translation = (0,) * self.target_dim
-        self.translation = tuple(translation)
+        self.translation = _rationals(translation, "translation entries")
         if len(self.translation) != self.target_dim:
             raise TropicalGeometryError("translation length must match target")
 

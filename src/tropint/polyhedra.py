@@ -46,8 +46,8 @@ on facet forms: a facet of a single piece is on the boundary iff its
 inequality is one of the cell's own.  This refinement is the one answer
 to "does this lie in that?": `add_functions` asks it directly, and
 products, pull-backs and relation checks ask it through `support_covers`.
-The refinement memo keeps the hosts of each cell's pieces per (cell key,
-carrier cells), so a cell refined again along the same carrier is cut
+A cell keeps the hosts of its pieces along the last carrier it was
+refined along, so a cell refined again along the same carrier is cut
 only by those hosts, with no side test and no cover check.
 
 Products of cells are built from the factors' homogeneous generators, so
@@ -61,6 +61,13 @@ Balancing around a codimension-one cell tau is tested with integer dot
 products: a sum of lattice normals lies in the span of tau iff every span
 equation of tau vanishes on it.  That sum of weighted lattice normals is
 written once (`_normal_sums`); divisors read it split by carrier cell.
+
+What is learnt about one cell is kept on that cell, never in a module
+memo keyed by cells: its facets, direction lattice, one lattice normal
+per facet and one tuple of refinement hosts, all freed with the cell
+when it leaves the weak pool.  The module caches (`_CACHES`) are keyed
+by values: the build memo and the caches of linear spaces, rewrites and
+contexts.
 
 Conventions:
   * a cell with no vertices is the empty cell;
@@ -100,8 +107,19 @@ def _integers(values, what):
     TropicalGeometryError naming `what`, where int() would truncate it."""
     try:
         return vec_int(values)
-    except ValueError as err:
+    except (TypeError, ValueError, ArithmeticError) as err:
         raise TropicalGeometryError("%s must be integers: %s" % (what, err)) from None
+
+
+def _rationals(values, what):
+    """The values as a tuple of ints and Fractions (`_rational`); a value
+    that is not a number raises TropicalGeometryError naming `what`."""
+    try:
+        return _rational(values)
+    except (TypeError, ValueError, ArithmeticError) as err:
+        raise TropicalGeometryError(
+            "%s must be rational numbers: %s" % (what, err)
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +257,20 @@ def _module_cache():
 
 
 _CELL_POOL = WeakValueDictionary()  # Cell.key() -> the live cell; not a cache
-_REFINE_MEMO = _module_cache()
-_NORMAL_MEMO = _module_cache()
 _BUILD_MEMO = _module_cache()
 
 
 def clear_caches():
-    """Empty every module cache: memos, spaces and contexts.  The pool of
-    live cells is not a cache and stays: a live cell is rebuilt as the
-    same object, and a cell nothing holds any more leaves the pool."""
+    """Empty every module cache (the build memo, spaces, rewrites and
+    contexts) and forget the refinement hosts every live cell keeps, so a
+    refinement after it starts cold.  The pool of live cells is not a
+    cache and stays: a live cell is rebuilt as the same object, and keeps
+    its direction lattice, facets and lattice normals; a cell nothing
+    holds any more leaves the pool."""
     for cache in _CACHES:
         cache.clear()
+    for cell in list(_CELL_POOL.values()):
+        cell._hosts = None
 
 
 class Cell:
@@ -267,6 +288,8 @@ class Cell:
         "_hom_lin",
         "_facet_cells",
         "_dirlat",
+        "_normals",
+        "_hosts",
         "__weakref__",
     )
 
@@ -285,6 +308,8 @@ class Cell:
         self._hom_lin = hom_lin
         self._facet_cells = None
         self._dirlat = None
+        self._normals = None  # facet cell -> lattice_normal, made lazily
+        self._hosts = None  # (carrier cells, hosts) of the last _refine
 
     @property
     def is_empty(self):
@@ -720,9 +745,14 @@ def lattice_normal(sigma, tau, facet_form):
     of tau are those of sigma on which the form vanishes, so u is any
     combination of sigma's direction lattice basis on which the form takes
     the gcd g of its values on that basis.
+
+    The normal depends on sigma and tau alone, so sigma keeps it, keyed by
+    tau: at most one per facet, freed with sigma.
     """
-    memo_key = (sigma, tau)
-    got = _NORMAL_MEMO.get(memo_key)
+    normals = sigma._normals
+    if normals is None:
+        normals = sigma._normals = {}
+    got = normals.get(tau)
     if got is not None:
         return got
     bs = sigma.direction_lattice()
@@ -732,7 +762,7 @@ def lattice_normal(sigma, tau, facet_form):
         raise VerificationError("facet is not of codimension one")
     y = solve_integer((values,), (g,))
     u = tuple(sum(c * b[j] for c, b in zip(y, bs)) for j in range(sigma.ambient_dim))
-    _NORMAL_MEMO[memo_key] = u
+    normals[tau] = u
     return u
 
 
@@ -1064,26 +1094,27 @@ def _refine(x, carrier):
 
     Returns (cycle, origin) where origin maps every cell of the cycle to a
     maximal carrier cell containing it, the first one for a cell of x that
-    lies in a carrier cell.  The refinement memo keeps, per (cell key,
-    carrier cells), the host of each piece of the cell in the order the
-    pieces were found (`_pieces`).  On a hit a single host means the cell
-    is its own piece, and several are each cut again: a piece is the cell
-    cut by its first host, and cells are unique, so the cut gives the same
-    object.  A hit runs no side test, no scan of the carrier and no
-    `check_cover`; the cover was checked when the hosts were stored.
+    lies in a carrier cell.  Each cell keeps, for the last carrier it was
+    refined along, the carrier cells and the host of each of its pieces in
+    the order the pieces were found (`_pieces`): one host tuple per cell,
+    freed with the cell.  When the carrier cells match, a single host
+    means the cell is its own piece, and several are each cut again: a
+    piece is the cell cut by its first host, and cells are unique, so the
+    cut gives the same object.  A hit runs no side test, no scan of the
+    carrier and no `check_cover`; the cover was checked when the hosts
+    were stored.
     """
     origin = {}
     items = []
     for sigma, w in x.cells:
-        key = (sigma.key(), carrier.maximal)
-        hosts = _REFINE_MEMO.get(key)
-        if hosts is None:
+        memo = sigma._hosts
+        if memo is None or memo[0] != carrier.maximal:
             pieces = _pieces(sigma, carrier)
-            _REFINE_MEMO[key] = tuple(pieces.values())
-        elif len(hosts) == 1:
-            pieces = {sigma: hosts[0]}
+            sigma._hosts = (carrier.maximal, tuple(pieces.values()))
+        elif len(memo[1]) == 1:
+            pieces = {sigma: memo[1][0]}
         else:
-            pieces = {intersect_cells(sigma, c): c for c in hosts}
+            pieces = {intersect_cells(sigma, c): c for c in memo[1]}
         origin.update(pieces)
         items.extend((piece, w) for piece in pieces)
     return make_cycle(x.ambient_dim, x.dim, items), origin

@@ -5,6 +5,7 @@ import pytest
 
 from test_functions import _seeded_affine_curve, _seeded_curve
 from tropint import cli, intersect, linspace, polyhedra
+from tropint.exactmath import clear_denominators
 from tropint.formats import parse_document, serialize
 from tropint.functions import (
     CartierExpression,
@@ -494,8 +495,6 @@ def test_unverified_context_is_checked_before_use():
 
 def test_clear_caches_empties_every_module_cache():
     caches = [
-        polyhedra._REFINE_MEMO,
-        polyhedra._NORMAL_MEMO,
         polyhedra._BUILD_MEMO,
         linspace._LNK_CACHE,
         linspace._FNK_CACHE,
@@ -517,6 +516,39 @@ def test_clear_caches_empties_every_module_cache():
     assert again is not ctx and again.verified
     got = intersect_cycles(again.ambient, point((1, 1)), again)
     assert cycles_equal(got, point((1, 1)))
+
+
+def test_cells_keep_their_normals_but_not_their_hosts_past_clear_caches(monkeypatch):
+    """Lattice normals and refinement hosts live on the cell, not in a
+    module memo: after clear_caches() a live cycle is checked for balance
+    again with no integer solve, while a refinement along the same carrier
+    starts cold and signs its cells against the carrier again."""
+    assert len(polyhedra._CACHES) == 5
+    assert not hasattr(polyhedra, "_NORMAL_MEMO")
+    assert not hasattr(polyhedra, "_REFINE_MEMO")
+    ctx = linear_space_context(3, 2)
+    (carrier,) = {
+        phi.cells: phi.carrier for st in ctx.stages for _, fs in st.terms for phi in fs
+    }.values()
+    x = cross(build_lnk(3, 1), build_lnk(3, 1))
+    solves, sides = [], []
+    real_solve, real_sides = polyhedra.solve_integer, polyhedra._missed_sides
+    monkeypatch.setattr(
+        polyhedra, "solve_integer", lambda *args: solves.append(1) or real_solve(*args)
+    )
+    monkeypatch.setattr(
+        polyhedra, "_missed_sides", lambda *args: sides.append(1) or real_sides(*args)
+    )
+    polyhedra.clear_caches()
+    assert is_balanced(x) and solves
+    first = polyhedra._refine(x, carrier)
+    assert sides
+    polyhedra.clear_caches()
+    del solves[:], sides[:]
+    assert is_balanced(x) and not solves
+    again = polyhedra._refine(x, carrier)
+    assert sides
+    assert again[0].cells == first[0].cells and again[1] == first[1]
 
 
 def test_lru_cache_keeps_what_was_read_last(monkeypatch):
@@ -620,9 +652,38 @@ def test_morphism_validation():
     # truncated, and an integral Fraction is taken as an int
     with pytest.raises(TropicalGeometryError):
         Morphism([(Fraction(1, 2), 1)])
+    with pytest.raises(TropicalGeometryError):
+        Morphism([(None, 1)])
     m = Morphism([(Fraction(4, 2), 1)], translation=(Fraction(1, 2),))
     assert m.matrix == ((2, 1),) and type(m.matrix[0][0]) is int
     assert m.apply((1, 1)) == (Fraction(7, 2),)
+
+
+def test_morphism_translation_must_be_numbers():
+    """A translation is read exactly when the morphism is built; an entry
+    that is not a number is refused then, not when the map is applied."""
+    for bad in (("a",), (None,), ([],), 5):
+        with pytest.raises(TropicalGeometryError):
+            Morphism([(1,)], bad)
+    m = Morphism([(1, 0), (0, 1)], translation=(0.25, "3/2"))
+    assert m.translation == (Fraction(1, 4), Fraction(3, 2))
+    assert m.apply((1, 1)) == (Fraction(5, 4), Fraction(5, 2))
+    assert type(Morphism([(1,)], (2,)).translation[0]) is int
+
+
+def test_float_entries_are_read_exactly():
+    """An entry that is neither an int nor a Fraction is read with
+    Fraction(), never truncated: in clearing denominators, in point
+    containment and in a pull-back along a translated map."""
+    assert clear_denominators((0.5,)) == ((1,), 2)
+    assert clear_denominators((0.5, 1, Fraction(1, 3))) == ((3, 6, 2), 6)
+    assert make_cell(1, [(Fraction(1, 4),), (Fraction(3, 4),)]).contains_point((0.5,))
+    real = linear_space_context(1, 1)
+    shifted = Morphism([[1]], (0.5,))
+    got = pullback_cycle(shifted, point((2,)), real, real)
+    assert cycles_equal(got, point((Fraction(3, 2),)))
+    pushed = pushforward(shifted, point((2,)))
+    assert cycles_equal(pushed, point((Fraction(5, 2),)))
 
 
 def test_intersect_requires_matching_ambient():
