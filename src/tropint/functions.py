@@ -25,7 +25,6 @@ from .polyhedra import (
     _refine,
     _space_cell,
     add_cycles,
-    check_cover,
     cut_cell_by_hom_forms,
     empty_cycle,
     intersect_cells,
@@ -214,14 +213,18 @@ def _unit_columns(matrix):
 def pullback_function(matrix, translation, phi):
     """Pull a PL function back along x -> matrix.x + translation.
 
-    The carrier is the whole domain cut into the full-dimensional
-    preimages of the carrier cells of phi; the image of the domain must
-    land in the carrier.  When the rows of the matrix are distinct unit
-    vectors (a coordinate projection, maybe permuted, as in the
-    projections of a product and in f x id for such an f), a preimage is
-    the carrier cell lifted along the free coordinates, with the
-    pulled-back facets as its candidate facets.  Any other matrix cuts the
-    whole domain by each cell's pulled-back facets and equations.
+    The carrier is the preimage of the carrier of phi: the non-empty
+    preimages of its cells that lie in no larger one.  A divisor reads its
+    function only on the cycle's support, so the preimage need not be the
+    whole domain, nor pure; applying the pulled function refines the
+    cycle along it, which checks that it covers the cycle.  A map that
+    misses the carrier raises TropicalGeometryError.  When the rows of the
+    matrix are distinct unit vectors (a coordinate projection, maybe
+    permuted, as in the projections of a product and in f x id for such
+    an f), a preimage is the carrier cell lifted along the free
+    coordinates, with the pulled-back facets as its candidate facets.
+    Any other matrix cuts the whole domain by each cell's pulled-back
+    facets and equations.
     """
     n = len(matrix[0]) if matrix else 0
     m = len(matrix)
@@ -282,10 +285,18 @@ def pullback_function(matrix, translation, phi):
     pieces = {}
     for target_cell, (cov, off) in zip(phi.cells, phi.forms):
         piece = preimage(target_cell)
-        if piece.dim == n and piece not in pieces:
+        if not piece.is_empty and piece not in pieces:
             pieces[piece] = (pull(cov), vec_dot(cov, translation) + off)
-    check_cover(space, list(pieces))
-    return PLFunction(list(pieces), list(pieces.values()))
+    if not pieces:
+        raise TropicalGeometryError("map misses the carrier of the function")
+    # the preimage need not be pure: keep the pieces that lie in no larger one
+    top = max(piece.dim for piece in pieces)
+    cells = [
+        p
+        for p in pieces
+        if p.dim == top or not any(q.dim > p.dim and q.contains_cell(p) for q in pieces)
+    ]
+    return PLFunction(cells, [pieces[piece] for piece in cells])
 
 
 class _Faces:

@@ -5,9 +5,9 @@ product of such) is computed by crossing them, applying a verified
 diagonal representation, and pushing forward along the first projection.
 An AmbientContext bundles the ambient cycle with its representation.
 Linear spaces and stars take the fan check of their representation, and
-apply it as ray functions on F^n_m, the fan that [L^n_m x L^n_m] lies
-in (or its star), rather than on the complete fan F^n_n, whose functions
-they keep for pull-backs and products.
+keep one stage set: its ray functions on F^n_m, the fan that
+[L^n_m x L^n_m] lies in (or its star), which intersections, product
+contexts and pull-backs all read.
 Product contexts pull the factor representations back along the
 coordinate projections and are verified by their factors, through the
 product formula pi^*phi . (A x B) = (phi . A) x B (Allermann-Rau); any
@@ -152,29 +152,26 @@ def _apply_stages(stages, z):
 class AmbientContext:
     """An ambient cycle together with a diagonal representation.
 
-    `stages` is a sequence of Cartier expressions whose functions cover
-    the whole of their domain, as pull-backs need (`pullback_function`);
-    applying them in order to [ambient x ambient] cuts out the diagonal.
+    `stages` is a sequence of Cartier expressions; applying them in order
+    to [ambient x ambient] cuts out the diagonal.  Their functions need
+    only cover a fan that [ambient x ambient] lies in: a divisor reads its
+    function only on the cycle's support, and the cells of a product are
+    tested and cut against the cones of that fan alone.  Intersections
+    apply them, and product contexts and pull-backs pull them back.
     Splitting the representation into stages keeps products of contexts
     small: the sum over one factor's tuples is collapsed before the next
-    factor's tuples are applied.  `diagonal_stages`, which
-    `apply_diagonal` applies, are the same functions restricted to a fan
-    that [ambient x ambient] lies in, if the context has them, else
-    `stages`: a divisor reads its function only on the cycle's support,
-    and the cells of a product are tested and cut against the cones of
-    that fan alone.  The constructor takes each as a sequence or a
-    function of no arguments returning it, called when it is first read.
-    It checks nothing: `verified` is set from the fan check or the
-    product formula (see product_context), or by `verify`, the geometric
-    check run by intersect_cycles and by the CLI's --verify.
+    factor's tuples are applied.  The constructor takes them as a sequence
+    or a function of no arguments returning it, called when they are
+    first read.  It checks nothing: `verified` is set from the fan check
+    or the product formula (see product_context), or by `verify`, the
+    geometric check run by intersect_cycles and by the CLI's --verify.
     """
 
-    __slots__ = ("ambient", "_stages", "_diagonal_stages", "label", "verified")
+    __slots__ = ("ambient", "_stages", "label", "verified")
 
-    def __init__(self, ambient, stages, label=None, diagonal_stages=None):
+    def __init__(self, ambient, stages, label=None):
         self.ambient = ambient
-        self._stages = _stage_source(stages)
-        self._diagonal_stages = _stage_source(diagonal_stages)
+        self._stages = stages if callable(stages) else tuple(stages)
         self.label = label
         self.verified = False
 
@@ -183,14 +180,6 @@ class AmbientContext:
         if callable(self._stages):
             self._stages = tuple(self._stages())
         return self._stages
-
-    @property
-    def diagonal_stages(self):
-        if self._diagonal_stages is None:
-            return self.stages
-        if callable(self._diagonal_stages):
-            self._diagonal_stages = tuple(self._diagonal_stages())
-        return self._diagonal_stages
 
     def verify(self):
         got = self.apply_diagonal(cross(self.ambient, self.ambient))
@@ -202,26 +191,17 @@ class AmbientContext:
         return True
 
     def apply_diagonal(self, z):
-        return _apply_stages(self.diagonal_stages, z)
-
-
-def _stage_source(stages):
-    return stages if stages is None or callable(stages) else tuple(stages)
+        return _apply_stages(self.stages, z)
 
 
 def _representation_context(key, build):
-    """The context of a representation: its expression on F^n_n as the
-    stage, and on the fan that [space x space] lies in (F^n_m, or its
-    star) as the diagonal stage; neither is built before it is read."""
+    """The context of a representation: its expression on the fan that
+    [space x space] lies in (F^n_m, or its star) as the one stage, not
+    built before it is read."""
     got = _CONTEXT_CACHE.get(key)
     if got is None:
         rep = build()
-        got = AmbientContext(
-            rep.space,
-            lambda: (rep.expression,),
-            label=key,
-            diagonal_stages=lambda: (rep.base_expression,),
-        )
+        got = AmbientContext(rep.space, lambda: (rep.expression,), label=key)
         got.verified = rep.verified  # the representation was verified on build
         _CONTEXT_CACHE[key] = got
     return got

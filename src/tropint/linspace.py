@@ -25,15 +25,14 @@ the cone {D_i : i in I}, since divisors commute with taking stars.
 Applying the PL functions geometrically, as intersection contexts do
 (`AmbientContext.verify`), is the test oracle for this check.
 
-Intersection contexts apply the tuples as ray functions on F^n_m itself
-(on its star at (x, x) for a star), the restrictions of the functions on
-F^n_n to the fan that [L^n_m x L^n_m] lies in: a divisor reads its
-function only on the cycle's support, and [C x D] is then cut along the
-cones of F^n_m alone.  Pull-backs and product contexts take the
-functions on F^n_n, whose pull-backs must cover the whole domain.  Stars
-are cut cone by cone with `star_cell`, as `star` cuts a cycle.  Rewriting,
-the fan check, serialization and parsing build no cell: a representation
-carries its tuples, and its space is derived when read.
+A representation applies its tuples as ray functions on one fan: F^n_m
+itself (its star at (x, x) for a star), the fan that [L^n_m x L^n_m]
+lies in.  A divisor reads its function only on the cycle's support, so
+[C x D] is cut along the cones of F^n_m alone, and intersections,
+product contexts and pull-backs all read these functions.  Stars are
+cut cone by cone with `star_cell`, as `star` cuts a cycle.  Rewriting,
+the fan check, serialization and parsing build no cell: a
+representation carries its tuples, and its space is derived when read.
 """
 
 from itertools import combinations
@@ -515,19 +514,17 @@ class DiagonalRepresentation:
     constructor checks c and tau and builds no cell.  The base is
     [space x space], or the complete fan [R^n x R^n] when `complete` is
     set (the full product form); it lies in F^n_c, or in F^n_n when
-    complete.  `expression` carries the tuples' symbol functions on F^n_n,
-    and `base_expression` the same functions on the fan the base lies in,
-    where they are its restrictions; for a star both are restricted to
-    the star of their fan at (x, x), x in the relative interior of tau.
-    Each is built when first asked for.  Applying either to the base
-    reproduces the diagonal of the space exactly; `base_expression` cuts
-    a cycle in the base only along the cones of the base's fan.  `verify`
-    checks that identity on the fan F^n_n with the tuples' integer
-    combinations.
+    complete.  `expression`, built when first asked for, carries the
+    tuples' symbol functions on that fan, restricted for a star to its
+    star at (x, x), x in the relative interior of tau: a divisor reads
+    its function only on the cycle's support.  Applying it to the base
+    reproduces the diagonal of the space exactly, and cuts a cycle in
+    the base only along the cones of the base's fan.  `verify` checks
+    that identity on the fan F^n_n with the tuples' integer combinations.
     """
 
     __slots__ = (
-        "n", "space_dim", "tuples", "complete", "tau", "verified", "_expressions",
+        "n", "space_dim", "tuples", "complete", "tau", "verified", "_expression",
     )
 
     def __init__(self, n, space_dim, tuples, complete=False, tau=None):
@@ -541,7 +538,7 @@ class DiagonalRepresentation:
         self.complete = complete
         self.tau = tau
         self.verified = False
-        self._expressions = {}  # k -> the expression on F^n_k
+        self._expression = None
 
     @property
     def space(self):
@@ -551,24 +548,16 @@ class DiagonalRepresentation:
             space = star(space, self.tau, self.tau.relint_point())
         return space
 
-    def _expression_on(self, k):
-        got = self._expressions.get(k)
-        if got is None:
+    @property
+    def expression(self):
+        if self._expression is None:
             point = None
             if self.tau is not None:
                 x = self.tau.relint_point()
                 point = x + x
-            got = _symbol_expression(self.n, self.tuples, point, k)
-            self._expressions[k] = got
-        return got
-
-    @property
-    def expression(self):
-        return self._expression_on(self.n)
-
-    @property
-    def base_expression(self):
-        return self._expression_on(self.n if self.complete else self.space_dim)
+            k = self.n if self.complete else self.space_dim
+            self._expression = _symbol_expression(self.n, self.tuples, point, k)
+        return self._expression
 
     def verify(self):
         fixed = ()
@@ -688,7 +677,7 @@ def star_diagonal(n, k, tau):
     """Diagonal representation for the star of L^n_k at a cell tau.
 
     The rewriting tuples for the diagonal of L^n_k cut out the diagonal of
-    the star: each factor keeps its covectors on the cones of F^n_n
+    the star: each factor keeps its covectors on the cones of F^n_k
     around (x, x) for a relative interior point x of tau.  The identity is
     verified on the star of the symbol fan at {D_i : -e_i a ray of tau}
     before returning; at the origin that star is the whole fan.

@@ -19,7 +19,7 @@ from tropint.functions import (
     ray_function,
     scale_function,
 )
-from tropint.exactmath import integer_kernel, vec_dot
+from tropint.exactmath import _unit_rows, integer_kernel, vec_dot
 from tropint.intersect import (
     intersect_cycles,
     linear_space_context,
@@ -32,6 +32,7 @@ from tropint.linspace import (
     build_lnk,
     fnk_cycle,
     rn_cycle,
+    symbol_function,
 )
 from tropint.polyhedra import (
     Complex,
@@ -339,6 +340,49 @@ def test_pullback_function():
     assert shifted.value((-9, 0)) == 0
 
 
+def _t_line_in_l21_squared():
+    """A function on F^2_1, whose support is L^2_1 x L^2_1, and the map
+    t -> (t, 0, t, 0), which meets that support in t <= 0, along D_1; the
+    other cones meet the line in the origin alone."""
+    phi = symbol_function(2, {("T", 1): 1, ("D", 1): 1}, 1)
+    return phi, ((1,), (0,), (1,), (0,))
+
+
+def test_pullback_lives_on_the_preimage_of_the_carrier():
+    """A pulled function is carried by the non-empty preimages of its
+    carrier cells that lie in no larger one, so the preimage of F^2_1 along
+    a line is a ray, and the preimage of F^3_2 along (x, y, v) ->
+    (x, y, 0, v) is not pure: the plane z = 0 meets L^3_2 in the quadrant
+    of -e_1, -e_2 and in the ray of (1, 1, 0)."""
+    phi, along = _t_line_in_l21_squared()
+    pulled = pullback_function(along, None, phi)
+    assert [(c.dim, c.rays) for c in pulled.cells] == [(1, ((-1,),))]
+    assert pulled.value((-3,)) == phi.value((-3, 0, -3, 0)) == 3
+    phi = symbol_function(3, {("T", 1): 1, ("D", 2): 2, ("B", 0): -1}, 2)
+    plane = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 0))
+    pulled = pullback_function(plane + _unit_rows(3, 5, 2), None, phi)
+    assert collections.Counter(c.dim for c in pulled.cells) == {4: 13, 3: 13}
+    for c in pulled.cells:
+        p = c.relint_point()
+        assert pulled.value(p) == phi.value(p[:2] + (0,) + p[2:])
+
+
+def test_a_pulled_function_covers_only_the_preimage():
+    """Applying a pulled function refines the cycle along the preimage of
+    the carrier, which checks the cover."""
+    phi, along = _t_line_in_l21_squared()
+    pulled = pullback_function(along, None, phi)
+    with pytest.raises(TropicalGeometryError, match="carrier does not cover cycle"):
+        divisor(pulled, rn_cycle(1))
+
+
+def test_pullback_along_a_map_that_misses_the_carrier():
+    """(1, 2) is not in L^2_1, so t -> (1, 2, t, 0) meets no cone of F^2_1."""
+    phi, _ = _t_line_in_l21_squared()
+    with pytest.raises(TropicalGeometryError, match="misses the carrier"):
+        pullback_function(((0,), (0,), (1,), (0,)), (1, 2, 0, 0), phi)
+
+
 def test_pullback_composes_with_forms():
     phi = tropical_max_xy()
     mat = ((1, 0, 2), (0, 1, -1))
@@ -381,7 +425,9 @@ def _coordinate_maps(m, rng):
 
 def test_pullback_lift_matches_the_cut():
     """Along coordinate maps the lifted preimages are the cells, facets
-    and span equations the whole-space cut gives, built from empty caches."""
+    and span equations the whole-space cut gives, built from empty caches,
+    also for carriers of lower dimension: F^2_1 and the L^3_2 stage
+    functions, which live on F^3_2."""
     rng = random.Random(13)
     f22 = build_fnk(2, 2)
     # the sum of a unimodular cone's rays keeps the subdivision unimodular
@@ -389,11 +435,12 @@ def test_pullback_lift_matches_the_cut():
     subdivided = stellar_subdivide(fnk_cycle(2, 2), apex)
     stages = linear_space_context(3, 2).stages
     l32 = {id(phi): phi for st in stages for _, fs in st.terms for phi in fs}
+    assert {phi.cells for phi in l32.values()} == {build_fnk(3, 2).maximal}
     carriers = [
         ("F^2_2", _seeded_ray_function(f22, rng)),
-        ("L^3_2", rng.choice(sorted(l32.values(), key=lambda phi: phi.forms))),
         ("subdivided F^2_2", _seeded_ray_function(subdivided.complex(), rng)),
-    ]
+        ("F^2_1", _seeded_ray_function(build_fnk(2, 1), rng)),
+    ] + [("L^3_2", phi) for phi in sorted(l32.values(), key=lambda phi: phi.forms)]
     for label, phi in carriers:
         for name, matrix, t in _coordinate_maps(phi.ambient_dim, rng):
             clear_caches()

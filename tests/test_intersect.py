@@ -27,7 +27,14 @@ from tropint.intersect import (
     pushforward,
     star_context,
 )
-from tropint.linspace import build_fnk, build_lnk, rn_cycle, symbol_function
+from tropint.linspace import (
+    build_fnk,
+    build_lnk,
+    rewrite_diagonal,
+    rn_cycle,
+    star_diagonal,
+    symbol_function,
+)
 from tropint.polyhedra import (
     TropicalGeometryError,
     VerificationError,
@@ -730,38 +737,79 @@ def _seeded_divisor(rng, x):
             return got
 
 
+def _complete_fan_stage(rep):
+    """The tuples of a representation as functions on the complete fan
+    F^n_n, restricted to its star at (x, x) for a star: the reference
+    for the one stage set a context keeps on its base fan."""
+    point = None
+    if rep.tau is not None:
+        x = rep.tau.relint_point()
+        point = x + x
+    return linspace._symbol_expression(rep.n, rep.tuples, point, rep.n)
+
+
 def test_diagonal_stages_are_the_stages_restricted_to_the_base_fan():
-    """apply_diagonal reads the representation on F^n_m, the fan that
+    """A context keeps one stage set, on F^n_m, the fan that
     [L^n_m x L^n_m] lies in (its star at (x, x) for a star context); on
-    [A x A] and on seeded [C x D] that gives the cycles the stages on
-    F^n_n give, and each diagonal stage is verified on its own."""
+    [A x A] and on seeded [C x A], [A x D] and [C x D] it gives the
+    cycles the same functions on F^n_n give, each stage set is verified
+    on its own, and pull-backs through either agree."""
     rng = random.Random(20)
-    l32 = linear_space_context(3, 2)
-    stars = [
-        star_context(3, 2, cone_from_generators(3, [(1, 1, 1)])),
-        star_context(4, 3, cone_from_generators(4, [(-1, 0, 0, 0), (0, -1, 0, 0)])),
+    cases = [
+        (linear_space_context(n, m), rewrite_diagonal(n, n - m), m)
+        for n, m in [(2, 1), (3, 1), (4, 2), (3, 0), (3, 2)]
     ]
-    cases = [(linear_space_context(n, m), m) for n, m in [(2, 1), (3, 1), (4, 2), (3, 0)]]
-    cases += [(l32, 2)] + [(ctx, None) for ctx in stars]
-    for ctx, m in cases:
+    for tau in (
+        cone_from_generators(3, [(1, 1, 1)]),
+        cone_from_generators(4, [(-1, 0, 0, 0), (0, -1, 0, 0)]),
+    ):
+        n = tau.ambient_dim
+        cases.append((star_context(n, n - 1, tau), star_diagonal(n, n - 1, tau), None))
+    references = {}
+    for ctx, rep, m in cases:
         n = ctx.ambient.ambient_dim
         fan = build_fnk(n, m) if m is not None else None
-        for stage in ctx.diagonal_stages:
-            for _, factors in stage.terms:
-                for phi in factors:
-                    if fan is not None:
-                        assert phi.cells == fan.maximal, ctx.label
-                    assert len(phi.forms[0][0]) == 2 * n
+        (stage,) = ctx.stages
+        for _, factors in stage.terms:
+            for phi in factors:
+                if fan is not None:
+                    assert phi.cells == fan.maximal, ctx.label
+                assert len(phi.forms[0][0]) == 2 * n
         amb = ctx.ambient
+        reference = references[ctx.label] = AmbientContext(
+            amb, (_complete_fan_stage(rep),)
+        )
         c = _seeded_divisor(rng, amb) if amb.dim else amb
         d = _seeded_divisor(rng, c) if c.dim else c
         for z in (cross(amb, amb), cross(c, amb), cross(amb, d), cross(c, d)):
             got = ctx.apply_diagonal(z)
-            assert cycles_equal(got, intersect._apply_stages(ctx.stages, z)), ctx.label
-        assert AmbientContext(amb, ctx.diagonal_stages).verify()
-    for fs, gs in [(_seeded_curve(rng), _seeded_affine_curve(rng)) for _ in range(2)]:
+            assert cycles_equal(got, reference.apply_diagonal(z)), ctx.label
+        assert AmbientContext(amb, ctx.stages).verify()
+    l32, l32_reference = linear_space_context(3, 2), references[("lnk", 3, 2)]
+    curves = [(_seeded_curve(rng), _seeded_affine_curve(rng)) for _ in range(2)]
+    for fs, gs in curves:
         z = cross(fs, gs)
-        assert cycles_equal(l32.apply_diagonal(z), intersect._apply_stages(l32.stages, z))
+        assert cycles_equal(l32.apply_diagonal(z), l32_reference.apply_diagonal(z))
+    # pull-backs along a coordinate projection, whose preimages are lifted,
+    # and along t -> (t, t, 0) and x -> (x, 0), which map R^1 and L^2_1 into
+    # L^3_2 and cut them; the plane z = 0 meets L^3_2 in a quadrant and the
+    # ray of (1, 1, 0), so the preimages along x -> (x, 0) are not pure
+    l21, l21_reference = linear_space_context(2, 1), references[("lnk", 2, 1)]
+    p2, square = projection_morphism([2, 2], 1), product_context(l21, l21)
+    diagonal_line, r1 = Morphism([(1,), (1,), (0,)]), linear_space_context(1, 1)
+    plane = Morphism([(1, 0), (0, 1), (0, 0)])
+    pulled = []
+    for f, c, source, ctx, reference in [
+        (p2, point((-2, 0), 3), square, l21, l21_reference),
+        (p2, build_lnk(2, 1), square, l21, l21_reference),
+        (diagonal_line, build_lnk(3, 1), r1, l32, l32_reference),
+        (plane, build_lnk(3, 1), l21, l32, l32_reference),
+        (plane, build_lnk(3, 2), l21, l32, l32_reference),
+    ] + [(diagonal_line, c, r1, l32, l32_reference) for pair in curves for c in pair]:
+        got = pullback_cycle(f, c, source, ctx)
+        assert cycles_equal(got, pullback_cycle(f, c, source, reference))
+        pulled.append(got.is_empty)
+    assert pulled.count(False) >= 5, pulled
     # the L^n_0 diagonal has no factors; F^3_0 has no rays to read values on
     assert symbol_function(3, {("T", 1): 1}, 0).forms == (((0,) * 6, 0),)
 
@@ -773,3 +821,21 @@ def test_intersections_never_build_the_complete_fan():
     got = intersect_cycles(_seeded_curve(rng), _seeded_affine_curve(rng), ctx)
     assert got.dim == 0
     assert (3, 2) in linspace._FNK_CACHE and (3, 3) not in linspace._FNK_CACHE
+
+
+def test_pullbacks_never_build_the_complete_fan():
+    """Pull-backs and product contexts pull back the one stage set of a
+    linear space context, on F^n_m, and build no F^n_n."""
+    polyhedra.clear_caches()
+    l21 = linear_space_context(2, 1)
+    p2, pt = projection_morphism([2, 2], 1), point((-2, 0), 3)
+    got = pullback_cycle(p2, pt, product_context(l21, l21), l21)
+    assert cycles_equal(got, cross(build_lnk(2, 1), pt))
+    assert (2, 1) in linspace._FNK_CACHE and (2, 2) not in linspace._FNK_CACHE
+    ctx = product_context(l21, linear_space_context(3, 2))
+    d1 = cross(build_lnk(2, 1), build_lnk(3, 1))
+    d2 = cross(pt, build_lnk(3, 2))
+    got = intersect_cycles(d1, d2, ctx)
+    assert cycles_equal(got, cross(pt, build_lnk(3, 1)))
+    assert (3, 2) in linspace._FNK_CACHE and (3, 3) not in linspace._FNK_CACHE
+

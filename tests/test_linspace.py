@@ -758,14 +758,15 @@ def test_partial_products_over_f22():
 
 
 def _diagonal_of_subcycle(n, k, c):
+    """The tuples and then (B+D)^k applied to C x R^n, all on F^n_n, which
+    C x R^n lies in."""
     from tropint.functions import CartierExpression
-    from tropint.linspace import symbol_function
+    from tropint.linspace import _symbol_expression, symbol_function
 
     rep = rewrite_diagonal(n, k)
     bd = symbol_function(n, {("B", 0): 1, ("D", 0): 1})
-    expr = CartierExpression(
-        [(alpha, list(phis) + [bd] * k) for alpha, phis in rep.expression.terms]
-    )
+    terms = _symbol_expression(n, rep.tuples, None, n).terms
+    expr = CartierExpression([(alpha, list(phis) + [bd] * k) for alpha, phis in terms])
     return expr.apply(cross(c, rn_cycle(n)))
 
 
